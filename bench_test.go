@@ -107,10 +107,11 @@ func runOnce(b *testing.B, algoSpec, patSpec string, perNode int, cfg repro.Conf
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	eng, err := repro.NewEngine(cfg)
+	s, err := repro.NewSimulator("buffered", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := s.(*repro.Engine)
 	pat, err := repro.NewPattern(patSpec, algo, 5)
 	if err != nil {
 		b.Fatal(err)
@@ -171,10 +172,11 @@ func BenchmarkAblationLambda(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng, err := repro.NewEngine(repro.Config{Algorithm: algo, Seed: 1})
+			s, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
+			eng := s.(*repro.Engine)
 			pat, err := repro.NewPattern("random", algo, 5)
 			if err != nil {
 				b.Fatal(err)
@@ -318,10 +320,11 @@ func BenchmarkEngineBuffered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := repro.NewEngine(repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
+	s, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := s.(*repro.Engine)
 	pat, _ := repro.NewPattern("random", algo, 5)
 	b.ResetTimer()
 	var m repro.Metrics
@@ -339,10 +342,11 @@ func BenchmarkEngineAtomic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := repro.NewAtomicEngine(repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
+	s, err := repro.NewSimulator("atomic", repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := s.(*repro.AtomicEngine)
 	pat, _ := repro.NewPattern("random", algo, 5)
 	b.ResetTimer()
 	var m repro.Metrics

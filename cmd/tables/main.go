@@ -5,26 +5,27 @@
 //
 //	tables [-table tableK] [-maxn 14] [-seed 1] [-cap 5] [-algo adaptive]
 //	       [-warmup 500] [-measure 1500] [-policy first-free]
-//	       [-jobs 4] [-budget 8] [-checkpoint sweep.jsonl] [-resume] [-progress]
-//	       [-cache results.jsonl]
+//	       [-jobs 4] [-budget 8] [-cache results.jsonl] [-progress]
 //
 // The sweep runs through the internal/sweep orchestrator: cells are
 // scheduled longest-first onto -jobs concurrent slots sharing a -budget
-// worker pool, and -checkpoint/-resume journal completed cells so a killed
-// sweep picks up where it left off. -cache FILE is shorthand for
-// "-checkpoint FILE -resume": treat the journal as a persistent result
-// cache, so repeated invocations replay completed cells instead of
-// simulating them again. The full sweep up to n=14 (16K nodes)
-// costs a few core-hours of simulation, dominated by the dynamic (λ=1)
-// experiments — run it with -jobs set to the core count; -maxn 12 finishes
-// in a few minutes even sequentially and already shows every trend.
+// worker pool. Every cell is an exec.RunSpec, and -cache FILE opens the
+// result store routesimd -cache uses: each completed cell is stored under
+// its spec's fingerprint, so a killed sweep resumes where it left off,
+// repeated invocations replay completed cells instead of simulating them
+// again, and a cell computed here is a cache hit for routesimd (and the
+// reverse). Only one process should write a given cache file at a time.
+// The full sweep up to n=14 (16K nodes) costs a few core-hours of
+// simulation, dominated by the dynamic (λ=1) experiments — run it with
+// -jobs set to the core count; -maxn 12 finishes in a few minutes even
+// sequentially and already shows every trend.
 //
 // Table output is written to stdout and is bit-identical for any -jobs
-// value (and across a kill/-resume cycle); timings and -progress status
+// value (and across a kill/resume cycle); timings and -progress status
 // lines go to stderr so stdout stays clean for diffing.
 //
 // Exit codes: 0 success, 1 simulation error, 2 usage, 3 stopped early by
-// -stop-after (the checkpoint holds the completed cells).
+// -stop-after (the -cache file holds the completed cells).
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -60,13 +62,11 @@ func main() {
 		engine     = flag.String("engine", "buffered", "simulation model: buffered (paper's node model) | atomic (Section 2)")
 		jobs       = flag.Int("jobs", 1, "concurrent experiment cells")
 		budget     = flag.Int("budget", 0, "total worker budget across cells (0 = GOMAXPROCS)")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal; completed cells append here")
-		resume     = flag.Bool("resume", false, "skip cells already in -checkpoint (same seed/options/build only)")
 		progress   = flag.Bool("progress", false, "live per-cell status with ETA on stderr")
-		stopAfter  = flag.Int("stop-after", 0, "stop (exit 3) after completing this many cells; for checkpoint testing")
+		stopAfter  = flag.Int("stop-after", 0, "stop (exit 3) after completing this many cells; for kill/resume testing with -cache")
 		benchOut   = flag.String("bench", "", "append sweep wall-clock record to this JSON file")
 		benchLabel = flag.String("bench-label", "", "label for the -bench record")
-		cache      = flag.String("cache", "", "result cache file: shorthand for -checkpoint FILE -resume (completed cells persist and replay across runs)")
+		cache      = flag.String("cache", "", "JSONL result store shared with routesimd -cache: completed cells persist and replay across runs")
 		rebalance  = flag.Int("rebalance", 0, "occupancy-weighted shard re-cut period in cycles (0 = off; buffered cells with workers > 1)")
 		tmodel     = flag.String("traffic", "", "override the injection model of dynamic cells for ablations: mmpp[:...]|onoff[:...] (default: the paper's Bernoulli process); static cells are unaffected")
 		scalingOut = flag.String("scaling", "", "scaling mode: rerun the sweep once per -scaling-jobs value and append a cells/s curve to this JSON file")
@@ -102,21 +102,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *cache != "" {
-		// -cache FILE is the content-addressed spelling of the checkpoint
-		// machinery: persist completed cells and replay them on the next run.
-		if *checkpoint != "" && *checkpoint != *cache {
-			fmt.Fprintln(os.Stderr, "tables: -cache and -checkpoint name different files; pick one")
-			os.Exit(2)
-		}
-		*checkpoint = *cache
-		*resume = true
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "tables: -resume requires -checkpoint (or use -cache)")
-		os.Exit(2)
-	}
-
 	if *budget == 0 {
 		*budget = runtime.GOMAXPROCS(0)
 	}
@@ -124,9 +109,16 @@ func main() {
 		Jobs:         *jobs,
 		Budget:       *budget,
 		FixedWorkers: *workers,
-		Checkpoint:   *checkpoint,
-		Resume:       *resume,
 		StopAfter:    *stopAfter,
+	}
+	if *cache != "" {
+		st, err := store.Open(*cache, store.Options{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
+			os.Exit(1)
+		}
+		defer st.Close()
+		so.Store = st
 	}
 	if *progress {
 		so.Sink = obs.NewSweepProgress(os.Stderr)
@@ -145,11 +137,11 @@ func main() {
 	wall := time.Since(start)
 	switch {
 	case errors.Is(err, sweep.ErrStopped):
-		fmt.Fprintf(os.Stderr, "tables: stopped after %d cells (checkpoint %s); rerun with -resume\n",
-			*stopAfter, *checkpoint)
+		fmt.Fprintf(os.Stderr, "tables: stopped after %d cells; rerun with -cache %s to continue\n",
+			*stopAfter, *cache)
 		os.Exit(3)
 	case errors.Is(err, context.Canceled):
-		fmt.Fprintln(os.Stderr, "tables: interrupted; rerun with -resume to continue")
+		fmt.Fprintln(os.Stderr, "tables: interrupted; rerun with the same -cache to continue")
 		os.Exit(1)
 	case err != nil:
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
@@ -171,7 +163,7 @@ func main() {
 			Suite: *suite, Table: *table, MaxN: *maxN,
 			Jobs: so.Jobs, Budget: so.Budget, GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Engine: *engine, Cells: len(results), Cached: cached,
-			WallSec: wall.Seconds(), BuildID: sweep.BuildID(),
+			WallSec: wall.Seconds(), BuildID: bench.BuildID(),
 		}
 		if err := bench.AppendSweepBench(*benchOut, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "tables: bench record: %v\n", err)
@@ -199,9 +191,9 @@ func runScalingSweep(ctx context.Context, jobList []sweep.Job, opt bench.Options
 	for _, j := range parseJobsList(jobsCSV) {
 		sj := so
 		sj.Jobs = j
-		// Each point re-runs the full sweep; a shared checkpoint would turn
+		// Each point re-runs the full sweep; a shared store would turn
 		// every point after the first into cache hits and time nothing.
-		sj.Checkpoint, sj.Resume = "", false
+		sj.Store = nil
 		start := time.Now()
 		results, err := sweep.Run(ctx, jobList, opt, sj)
 		wall := time.Since(start)

@@ -273,7 +273,6 @@ func (ex Experiment) Spec(dims int, opt Options) (exec.RunSpec, error) {
 // POSTed spec with the same parameters are the same run, fingerprint and
 // all.
 func (ex Experiment) RunCtx(ctx context.Context, dims int, opt Options) (Row, error) {
-	opt.fill()
 	s, err := ex.Spec(dims, opt)
 	if err != nil {
 		return Row{}, err
@@ -282,17 +281,30 @@ func (ex Experiment) RunCtx(ctx context.Context, dims int, opt Options) (Row, er
 	if err != nil {
 		return Row{}, err
 	}
-	m := res.Metrics
+	return ex.Row(dims, res.Metrics), nil
+}
+
+// Row builds the measured row of the cell at dims from its run's metrics,
+// paired with the paper's values. It is the one step from a cell's
+// sim.Metrics to its table row, so a row replayed from the result store
+// and a freshly simulated one are formed by the same code.
+func (ex Experiment) Row(dims int, m sim.Metrics) Row {
+	r := measuredRow(dims, 1<<dims, m)
+	r.Paper = ex.paperRow(dims)
+	return r
+}
+
+// measuredRow fills a Row's measured fields from a run's metrics.
+func measuredRow(size, nodes int, m sim.Metrics) Row {
 	return Row{
-		Dims:      dims,
-		Nodes:     1 << dims,
+		Dims:      size,
+		Nodes:     nodes,
 		Lavg:      m.AvgLatency(),
 		Lmax:      m.LatencyMax,
 		Ir:        100 * m.InjectionRate(),
 		Cycles:    m.Cycles,
 		Delivered: m.Delivered,
-		Paper:     ex.paperRow(dims),
-	}, nil
+	}
 }
 
 // RunAll executes the experiment at every dimension the paper reports, up

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -162,7 +163,6 @@ func (ex Extended) Spec(size int, opt Options) (exec.RunSpec, error) {
 // published tables, extended cells execute through the canonical
 // exec.RunSpec path.
 func (ex Extended) RunCtx(ctx context.Context, size int, opt Options) (Row, error) {
-	opt.fill()
 	s, err := ex.Spec(size, opt)
 	if err != nil {
 		return Row{}, err
@@ -171,16 +171,13 @@ func (ex Extended) RunCtx(ctx context.Context, size int, opt Options) (Row, erro
 	if err != nil {
 		return Row{}, err
 	}
-	m := res.Metrics
-	return Row{
-		Dims:      size,
-		Nodes:     ex.Algo(size).Topology().Nodes(),
-		Lavg:      m.AvgLatency(),
-		Lmax:      m.LatencyMax,
-		Ir:        100 * m.InjectionRate(),
-		Cycles:    m.Cycles,
-		Delivered: m.Delivered,
-	}, nil
+	return ex.Row(size, res.Metrics), nil
+}
+
+// Row builds the measured row of the cell at size from its run's metrics;
+// see (Experiment).Row.
+func (ex Extended) Row(size int, m sim.Metrics) Row {
+	return measuredRow(size, ex.Algo(size).Topology().Nodes(), m)
 }
 
 // RunAll executes every size up to maxSize (0 = all).

@@ -122,7 +122,10 @@ func TestFingerprintStability(t *testing.T) {
 
 func TestFingerprintSensitivity(t *testing.T) {
 	base := small()
-	fp := base.Fingerprint("build1")
+	dyn := RunSpec{Algo: "hypercube-adaptive:4", Seed: 1, Inject: "dynamic", Lambda: 1, Warmup: 50, Measure: 100}
+	// The window and traffic model only exist for dynamic runs; those
+	// mutations apply to dyn, the rest to the static base.
+	dynamic := map[string]bool{"warmup": true, "measure": true, "traffic": true}
 	muts := map[string]func(*RunSpec){
 		"algo":    func(s *RunSpec) { s.Algo = "hypercube-adaptive:5" },
 		"pattern": func(s *RunSpec) { s.Pattern = "complement" },
@@ -132,15 +135,22 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"packets": func(s *RunSpec) { s.Packets = 3 },
 		"cap":     func(s *RunSpec) { s.QueueCap = 6 },
 		"faults":  func(s *RunSpec) { s.Faults = "node:3@100" },
+		"warmup":  func(s *RunSpec) { s.Warmup = 60 },
+		"measure": func(s *RunSpec) { s.Measure = 200 },
+		"traffic": func(s *RunSpec) { s.Traffic = "mmpp" },
 	}
 	for name, mut := range muts {
 		s := base
+		if dynamic[name] {
+			s = dyn
+		}
+		fp := s.Fingerprint("build1")
 		mut(&s)
 		if s.Fingerprint("build1") == fp {
 			t.Errorf("changing %s did not change the fingerprint", name)
 		}
 	}
-	if base.Fingerprint("build2") == fp {
+	if base.Fingerprint("build2") == base.Fingerprint("build1") {
 		t.Error("changing the build id did not change the fingerprint")
 	}
 }

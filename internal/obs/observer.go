@@ -5,8 +5,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Observer receives the three probes of a simulation run. It replaces the
-// raw Config.OnDeliver / Config.OnCycle callbacks: attach one via
+// Observer receives the three probes of a simulation run: attach one via
 // Config.Observer (or the repro.WithObserver option) and the engine enables
 // its metrics core for the run.
 //

@@ -620,9 +620,6 @@ func (e *AtomicEngine) Step() (done bool, err error) {
 			e.observer.OnCycle(cycle, snap)
 		}
 	}
-	if e.cfg.OnCycle != nil {
-		e.cfg.OnCycle(cycle)
-	}
 
 	if rs.drain && m.InFlight == 0 && e.allExhausted(rs.src) {
 		e.end(false, nil)
@@ -817,9 +814,6 @@ func (e *AtomicEngine) deliverAtomic(pkt core.Packet, cycle int64, win runWindow
 	st.delivered++
 	st.moves++
 	lat := cycle - pkt.InjectedAt + 1
-	if e.cfg.OnDeliver != nil {
-		e.cfg.OnDeliver(pkt, lat)
-	}
 	if e.observer != nil {
 		e.observer.OnDeliver(pkt, lat)
 	}

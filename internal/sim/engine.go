@@ -892,9 +892,6 @@ func (e *Engine) Step() (done bool, err error) {
 			e.observer.OnCycle(cycle, snap)
 		}
 	}
-	if e.cfg.OnCycle != nil {
-		e.cfg.OnCycle(cycle)
-	}
 
 	if rs.drain && m.InFlight == 0 && e.allExhausted(rs.src) {
 		e.end(false, nil)
@@ -1920,9 +1917,6 @@ func (e *Engine) deliver(pkt core.Packet, cycle int64, win runWindow, st *cycleS
 	st.delivered++
 	st.moves++
 	lat := cycle - pkt.InjectedAt + 1
-	if e.cfg.OnDeliver != nil {
-		e.cfg.OnDeliver(pkt, lat)
-	}
 	if e.observer != nil {
 		e.observer.OnDeliver(pkt, lat)
 	}

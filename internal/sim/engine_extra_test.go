@@ -5,22 +5,43 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/traffic"
 )
 
-// TestOnDeliverHook checks the delivery callback sees every packet exactly
-// once with a plausible latency, on both engines.
+// tap is a test Observer forwarding the delivery and cycle probes to
+// plain funcs (either may be nil).
+type tap struct {
+	obs.Base
+	deliver func(core.Packet, int64)
+	cycle   func(int64)
+}
+
+func (t *tap) OnDeliver(p core.Packet, lat int64) {
+	if t.deliver != nil {
+		t.deliver(p, lat)
+	}
+}
+
+func (t *tap) OnCycle(cycle int64, _ *obs.Snapshot) {
+	if t.cycle != nil {
+		t.cycle(cycle)
+	}
+}
+
+// TestOnDeliverHook checks the Observer's delivery probe sees every packet
+// exactly once with a plausible latency.
 func TestOnDeliverHook(t *testing.T) {
 	a := core.NewHypercubeAdaptive(5)
 	var mu sync.Mutex
 	seen := map[int64]int64{}
 	cfg := Config{
 		Algorithm: a, Seed: 1,
-		OnDeliver: func(p core.Packet, lat int64) {
+		Observer: &tap{deliver: func(p core.Packet, lat int64) {
 			mu.Lock()
 			seen[p.ID] = lat
 			mu.Unlock()
-		},
+		}},
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -196,13 +217,15 @@ func TestConservationEveryCycle(t *testing.T) {
 			var eng *Engine
 			injected, delivered := int64(0), int64(0)
 			cfg := Config{Algorithm: a, Seed: 5, QueueCap: 3}
-			cfg.OnDeliver = func(core.Packet, int64) { delivered++ }
-			cfg.OnCycle = func(cycle int64) {
-				inNet := int64(eng.InNetwork())
-				if injected != delivered+inNet {
-					t.Fatalf("cycle %d: injected %d != delivered %d + in-network %d",
-						cycle, injected, delivered, inNet)
-				}
+			cfg.Observer = &tap{
+				deliver: func(core.Packet, int64) { delivered++ },
+				cycle: func(cycle int64) {
+					inNet := int64(eng.InNetwork())
+					if injected != delivered+inNet {
+						t.Fatalf("cycle %d: injected %d != delivered %d + in-network %d",
+							cycle, injected, delivered, inNet)
+					}
+				},
 			}
 			var err error
 			eng, err = NewEngine(cfg)

@@ -232,21 +232,6 @@ type Config struct {
 	// nor Observer set, the instrumentation is compiled out of the hot
 	// loop behind a single predictable branch.
 	Metrics bool
-	// OnDeliver, if set, is called at every delivery with the packet and
-	// its measured latency (cycles since network entry). With Workers > 1
-	// it is called concurrently and must be safe for parallel use.
-	//
-	// Deprecated: attach an Observer instead (obs.NewLatency replaces the
-	// typical latency-collector use). The field keeps working and may be
-	// combined with an Observer.
-	OnDeliver func(pkt core.Packet, latency int64)
-	// OnCycle, if set, is called once at the end of every simulated cycle,
-	// outside the parallel phases, so it may safely inspect the engine
-	// (e.g. through Snapshot) to sample congestion over time.
-	//
-	// Deprecated: attach an Observer instead; its OnCycle probe also
-	// receives the merged metric snapshot. The field keeps working.
-	OnCycle func(cycle int64)
 }
 
 func (c *Config) fill() error {

@@ -12,7 +12,7 @@ type QueueSnapshot struct {
 
 // Snapshot invokes f for every central queue with its current occupancy.
 // It must not be called while a Run* is in progress (the engines are not
-// reentrant); its intended use is from the OnCycle hook or after a run, to
+// reentrant); its intended use is from an Observer's OnCycle probe or after a run, to
 // study where congestion accumulates — e.g. the paper's observation that
 // without dynamic links traffic concentrates around node 1...1.
 func (e *Engine) Snapshot(f func(QueueSnapshot)) {

@@ -1,10 +1,9 @@
-// Package store is the content-addressed result store behind the sweep
-// checkpoint and the routesimd daemon: a Get/Put blob store keyed by
-// fingerprint strings (sha256 of a run's identity, options and build id),
-// with an in-memory LRU tier over a JSONL append-only backing file. The
-// sweep's checkpoint journal generalized: where the journal only ever
-// replayed one sweep's cells, the store is a standing memoization layer
-// any caller with a stable fingerprint can share.
+// Package store is the one result cache of this module, shared by the
+// cmd/tables sweep and the routesimd daemon: a content-addressed Get/Put
+// blob store keyed by exec.RunSpec fingerprints (sha256 of a run's
+// identity, options and build id), with an in-memory LRU tier over a JSONL
+// append-only backing file. Both callers store the JSON of an exec.Result,
+// so a cell computed by either one is a cache hit for the other.
 package store
 
 import (
@@ -14,12 +13,12 @@ import (
 	"os"
 )
 
-// OpenAppend opens path for appending line-oriented records. With truncate
+// openAppend opens path for appending line-oriented records. With truncate
 // the file is reset to empty; otherwise existing content is preserved —
 // except a partial trailing line (the residue of a crash mid-append), which
 // is trimmed so the next appended record starts on a fresh line instead of
 // gluing itself onto the fragment and corrupting both.
-func OpenAppend(path string, truncate bool) (*os.File, error) {
+func openAppend(path string, truncate bool) (*os.File, error) {
 	flags := os.O_CREATE | os.O_RDWR
 	if truncate {
 		flags |= os.O_TRUNC
@@ -74,7 +73,7 @@ func trimPartialTail(f *os.File) error {
 }
 
 // appendLine writes one record plus newline and syncs, so a kill leaves at
-// most one partial trailing line — which OpenAppend trims on reopen and
+// most one partial trailing line — which openAppend trims on reopen and
 // scanners skip on replay.
 func appendLine(f *os.File, rec []byte) error {
 	if _, err := f.Write(append(rec, '\n')); err != nil {

@@ -18,7 +18,7 @@ const entryVersion = 1
 // line is the on-disk form of one entry: a fingerprint key and an opaque
 // blob. The store never interprets the blob — callers own its schema and
 // are expected to fold a schema version into the fingerprint (RunSpec's
-// "v":1, the sweep journal's entry version).
+// "v" field).
 type line struct {
 	V    int             `json:"v"`
 	Key  string          `json:"key"`
@@ -62,7 +62,7 @@ func Open(path string, o Options) (*Store, error) {
 	if path == "" {
 		return s, nil
 	}
-	f, err := OpenAppend(path, o.Truncate)
+	f, err := openAppend(path, o.Truncate)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}

@@ -156,7 +156,7 @@ func TestReopenTrimsPartialTrailingLine(t *testing.T) {
 	}
 	defer st3.Close()
 	if st3.Len() != 2 {
-		t.Fatalf("append after trim corrupted the journal: Len = %d, want 2", st3.Len())
+		t.Fatalf("append after trim corrupted the file: Len = %d, want 2", st3.Len())
 	}
 	if got, ok := st3.Get("c"); !ok || string(got) != `{"v":3}` {
 		t.Fatalf("entry appended after trim unreadable: %q %v", got, ok)

@@ -3,8 +3,10 @@
 // list of independent (experiment, size) cells with per-cell cost
 // estimates, schedules them longest-processing-time-first onto a bounded
 // slot pool that splits a global worker budget between concurrent cells
-// and per-simulation Workers, and journals every completed cell to a JSONL
-// checkpoint so a killed sweep resumes instead of restarting.
+// and per-simulation Workers. Every cell is one exec.RunSpec; with a result
+// store configured, each completed cell is stored under the spec's
+// fingerprint — the key and blob routesimd uses — so a killed sweep resumes
+// instead of restarting, and sweep and daemon share one cache.
 //
 // Determinism: every cell is an independent, bit-deterministic simulation
 // whose results do not depend on the Workers count (credited algorithms,
@@ -16,6 +18,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -23,7 +26,10 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // Suite selectors accepted by BuildJobs, mirroring cmd/tables -suite.
@@ -145,28 +151,31 @@ type Result struct {
 	Job        Job
 	Row        bench.Row
 	ElapsedSec float64
-	Cached     bool // satisfied from the resume checkpoint, not re-run
+	Cached     bool // served from the result store, not re-run
 }
 
 // ErrStopped reports that the sweep hit Options.StopAfter and exited early
-// on purpose; the checkpoint journal holds the completed cells.
+// on purpose; the result store holds the completed cells.
 var ErrStopped = errors.New("sweep: stopped after requested number of cells")
 
 // Options tunes a sweep run. The zero value runs sequentially with no
-// checkpointing — the exact behavior of the old cmd/tables loop.
+// caching — the exact behavior of the old cmd/tables loop.
 type Options struct {
 	Jobs   int // concurrent cells (default 1)
 	Budget int // total worker budget across concurrent cells (default GOMAXPROCS)
 	// FixedWorkers forces every cell to this Workers value (the -workers
 	// flag); 0 lets the scheduler split Budget cost-aware per cell.
 	FixedWorkers int
-	Checkpoint   string // JSONL journal path ("" = no checkpointing)
-	Resume       bool   // skip cells already journaled under a matching fingerprint
+	// Store caches cell results under RunSpec.Fingerprint (nil = no
+	// caching): a cell already stored is served from it, and every
+	// executed cell is put there. Workers is not part of the fingerprint —
+	// results are worker-invariant — so the scheduler's per-cell worker
+	// grants never invalidate a stored cell.
+	Store *store.Store
 	// StopAfter ends the sweep with ErrStopped once that many cells have
 	// completed in this run (0 = run to completion); the deterministic
 	// "kill" half of the kill/resume tests and CI smoke job.
 	StopAfter int
-	BuildID   string        // fingerprint build key (default BuildID())
 	Sink      obs.SweepSink // progress events (nil = none)
 	SmallCost float64       // cells cheaper than this run sequentially (default DefaultSmallCost)
 }
@@ -178,49 +187,81 @@ func (o *Options) fill() {
 	if o.Budget < 1 {
 		o.Budget = runtime.GOMAXPROCS(0)
 	}
-	if o.BuildID == "" {
-		o.BuildID = BuildID()
-	}
 	if o.SmallCost == 0 {
 		o.SmallCost = DefaultSmallCost
 	}
 }
 
+// experiment is what a sweep needs of a paper table or an extended
+// experiment: the RunSpec of one cell and the row built from its metrics.
+type experiment interface {
+	Spec(size int, opt bench.Options) (exec.RunSpec, error)
+	Row(size int, m sim.Metrics) bench.Row
+}
+
+// findExperiment resolves a job's experiment.
+func findExperiment(job Job) (experiment, error) {
+	switch job.Suite {
+	case SuitePaper:
+		return bench.FindTable(job.Exp)
+	case SuiteExtended:
+		return bench.FindExtended(job.Exp)
+	}
+	return nil, fmt.Errorf("sweep: unknown suite %q", job.Suite)
+}
+
+// cell is one job resolved to its experiment, RunSpec and store key.
+type cell struct {
+	ex   experiment
+	spec exec.RunSpec
+	fp   string
+}
+
+// cachedResult returns the stored exec.Result under fp, if the store holds
+// one that decodes; anything else is a miss and the cell re-runs.
+func cachedResult(st *store.Store, fp string) (exec.Result, bool) {
+	if st == nil {
+		return exec.Result{}, false
+	}
+	blob, ok := st.Get(fp)
+	if !ok {
+		return exec.Result{}, false
+	}
+	var res exec.Result
+	if err := json.Unmarshal(blob, &res); err != nil {
+		return exec.Result{}, false
+	}
+	return res, true
+}
+
 // Run executes the jobs under the sweep options and returns one Result per
 // job, in the jobs' (canonical) order. On ErrStopped or cancellation the
 // results of unfinished cells are zero; completed cells are already in the
-// checkpoint journal when one is configured.
+// result store when one is configured.
 func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Result, error) {
 	o.fill()
 	opt = opt.Filled()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	var cached map[string]Entry
-	var journal *Journal
-	if o.Checkpoint != "" {
-		if o.Resume {
-			var err error
-			if cached, err = LoadJournal(o.Checkpoint); err != nil {
-				return nil, err
-			}
-		}
-		var err error
-		if journal, err = OpenJournal(o.Checkpoint, o.Resume); err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
+	buildID := bench.BuildID()
 
 	results := make([]Result, len(jobs))
+	cells := make([]cell, len(jobs))
 	prog := newProgress(jobs, o.Sink)
-	fps := make([]string, len(jobs))
 	var pending []int
 	for i, job := range jobs {
-		fps[i] = Fingerprint(job, opt, o.BuildID)
-		if e, ok := cached[fps[i]]; ok {
-			results[i] = Result{Job: job, Row: e.Row, ElapsedSec: e.ElapsedSec, Cached: true}
+		ex, err := findExperiment(job)
+		if err != nil {
+			return nil, err
+		}
+		spec, err := ex.Spec(job.Size, opt)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", job.ID, err)
+		}
+		cells[i] = cell{ex: ex, spec: spec, fp: spec.Fingerprint(buildID)}
+		if res, ok := cachedResult(o.Store, cells[i].fp); ok {
+			results[i] = Result{Job: job, Row: ex.Row(job.Size, res.Metrics), ElapsedSec: res.ElapsedSec, Cached: true}
 			prog.cached(job)
 			continue
 		}
@@ -264,17 +305,20 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 			defer wg.Done()
 			defer pool.release(w)
 			prog.start(job, w)
-			jobOpt := opt
+			c := cells[idx]
 			// A one-worker grant means "run this cell sequentially": the
 			// engine's plain single-threaded path (Workers 0) computes the
 			// same results as a one-worker pool without the pool overhead.
-			jobOpt.Workers = w
+			c.spec.Workers = w
 			if w == 1 {
-				jobOpt.Workers = 0
+				c.spec.Workers = 0
 			}
 			t0 := time.Now()
-			row, err := runCell(runCtx, job, jobOpt)
+			res, err := exec.Run(runCtx, c.spec, nil)
 			elapsed := time.Since(t0).Seconds()
+			if err == nil && o.Store != nil {
+				err = putResult(o.Store, c.fp, res)
+			}
 
 			mu.Lock()
 			if err != nil {
@@ -285,23 +329,15 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 				cancel()
 				return
 			}
-			results[idx] = Result{Job: job, Row: row, ElapsedSec: elapsed}
-			if journal != nil {
-				if jerr := journal.Append(Entry{
-					FP: fps[idx], Job: job.ID, Seq: job.Seq, ElapsedSec: elapsed, Row: row,
-				}); jerr != nil && firstErr == nil {
-					firstErr = jerr
-				}
-			}
+			results[idx] = Result{Job: job, Row: c.ex.Row(job.Size, res.Metrics), ElapsedSec: elapsed}
 			executed++
 			stopNow := o.StopAfter > 0 && executed >= o.StopAfter && !stopped
 			if stopNow {
 				stopped = true
 			}
-			failed := firstErr != nil
 			mu.Unlock()
 			prog.done(job)
-			if stopNow || failed {
+			if stopNow {
 				cancel()
 			}
 		}(idx, job, w)
@@ -320,23 +356,15 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 	return results, nil
 }
 
-// runCell executes one cell against its experiment.
-func runCell(ctx context.Context, job Job, opt bench.Options) (bench.Row, error) {
-	switch job.Suite {
-	case SuitePaper:
-		ex, err := bench.FindTable(job.Exp)
-		if err != nil {
-			return bench.Row{}, err
-		}
-		return ex.RunCtx(ctx, job.Size, opt)
-	case SuiteExtended:
-		ex, err := bench.FindExtended(job.Exp)
-		if err != nil {
-			return bench.Row{}, err
-		}
-		return ex.RunCtx(ctx, job.Size, opt)
+// putResult stores a freshly executed cell exactly as the daemon stores a
+// POSTed run: the JSON of its exec.Result under the spec's fingerprint.
+func putResult(st *store.Store, fp string, res exec.Result) error {
+	res.FP = fp
+	blob, err := json.Marshal(res)
+	if err != nil {
+		return err
 	}
-	return bench.Row{}, fmt.Errorf("sweep: unknown suite %q", job.Suite)
+	return st.Put(fp, blob)
 }
 
 // progress aggregates completion state and derives the events' ETA from the

@@ -3,10 +3,12 @@ package sweep
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/store"
 )
 
 // testOptions keeps the simulated windows short: the determinism claims
@@ -56,12 +58,23 @@ func TestSweepDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
+// openStore opens a JSONL-backed result store that the test closes.
+func openStore(t *testing.T, path string) *store.Store {
+	t.Helper()
+	st, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // A sweep killed after N cells and resumed must produce exactly the rows of
-// an uninterrupted run, with the first run's cells served from checkpoint.
+// an uninterrupted run, with the first run's cells served from the store.
 func TestSweepStopAndResume(t *testing.T) {
 	opt := testOptions()
 	jobs := testJobs(t, opt)
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "results.jsonl")
 
 	full, err := Run(context.Background(), jobs, opt, Options{Jobs: 1})
 	if err != nil {
@@ -69,15 +82,18 @@ func TestSweepStopAndResume(t *testing.T) {
 	}
 
 	const stopAfter = 4
+	st := openStore(t, path)
 	_, err = Run(context.Background(), jobs, opt, Options{
-		Jobs: 2, Budget: 2, Checkpoint: ckpt, StopAfter: stopAfter,
+		Jobs: 2, Budget: 2, Store: st, StopAfter: stopAfter,
 	})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("stop-after run returned %v, want ErrStopped", err)
 	}
+	st.Close()
 
+	// Resume from a fresh process's view: reopen the file, replaying it.
 	resumed, err := Run(context.Background(), jobs, opt, Options{
-		Jobs: 2, Budget: 2, Checkpoint: ckpt, Resume: true,
+		Jobs: 2, Budget: 2, Store: openStore(t, path),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +105,7 @@ func TestSweepStopAndResume(t *testing.T) {
 		}
 	}
 	if cachedCount < stopAfter {
-		t.Errorf("resume served %d cells from checkpoint, want >= %d", cachedCount, stopAfter)
+		t.Errorf("resume served %d cells from the store, want >= %d", cachedCount, stopAfter)
 	}
 	if cachedCount == len(resumed) {
 		t.Error("every cell was cached; the stop-after run did not stop early")
@@ -102,29 +118,70 @@ func TestSweepStopAndResume(t *testing.T) {
 	}
 }
 
-// A checkpoint recorded under different options must be ignored wholesale:
-// resuming with a new seed re-runs every cell.
+// Cells stored under different options must be ignored wholesale:
+// resuming with a new seed re-runs every cell. A line left in the file by
+// the former sweep checkpoint journal is skipped, not trusted.
 func TestSweepResumeIgnoresStaleCheckpoint(t *testing.T) {
 	opt := testOptions()
 	jobs := testJobs(t, opt)
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-
-	if _, err := Run(context.Background(), jobs, opt, Options{Jobs: 1, Checkpoint: ckpt}); err != nil {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	oldJournal := `{"v":1,"fp":"0123456789abcdef","job":"table9/n10","seq":0,"elapsed_sec":1,"row":{"Dims":10}}` + "\n"
+	if err := os.WriteFile(path, []byte(oldJournal), 0o644); err != nil {
 		t.Fatal(err)
+	}
+
+	st := openStore(t, path)
+	if _, err := Run(context.Background(), jobs, opt, Options{Jobs: 1, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != len(jobs) {
+		t.Fatalf("store holds %d entries after a %d-cell sweep", st.Len(), len(jobs))
 	}
 
 	newOpt := opt
 	newOpt.Seed = 42
 	newJobs := testJobs(t, newOpt)
-	resumed, err := Run(context.Background(), newJobs, newOpt, Options{
-		Jobs: 1, Checkpoint: ckpt, Resume: true,
-	})
+	resumed, err := Run(context.Background(), newJobs, newOpt, Options{Jobs: 1, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range resumed {
 		if r.Cached {
-			t.Errorf("%s: cell served from a checkpoint recorded under another seed", r.Job.ID)
+			t.Errorf("%s: cell served from a store filled under another seed", r.Job.ID)
+		}
+	}
+}
+
+// The traffic model is part of a cell's identity: a store filled by an
+// MMPP sweep must not serve its rows to the paper's Bernoulli sweep. The
+// former checkpoint fingerprint left traffic out and served exactly that.
+func TestSweepStoreKeysTraffic(t *testing.T) {
+	st := openStore(t, "")
+	mmpp := testOptions()
+	mmpp.Traffic = "mmpp"
+	jobs, err := BuildJobs(SuitePaper, "table9", 10, mmpp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), jobs, mmpp, Options{Jobs: 1, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+
+	paper := testOptions()
+	got, err := Run(context.Background(), jobs, paper, Options{Jobs: 1, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(context.Background(), jobs, paper, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if r.Cached {
+			t.Errorf("%s: Bernoulli cell served from the MMPP run's store entry", r.Job.ID)
+		}
+		if r.Row != fresh[i].Row {
+			t.Errorf("%s: row %+v != fresh Bernoulli row %+v", r.Job.ID, r.Row, fresh[i].Row)
 		}
 	}
 }

@@ -2,13 +2,13 @@ package repro
 
 import "repro/internal/obs"
 
-// EngineOption customizes an engine built by NewEngineOpts or
-// NewAtomicEngineOpts. Options apply over the zero Config in order, so a
-// later option overrides an earlier one; anything left unset keeps the
-// Config defaults (queue capacity 5, PolicyFirstFree, one worker).
+// EngineOption customizes an engine built by NewSimulatorOpts. Options
+// apply over the zero Config in order, so a later option overrides an
+// earlier one; anything left unset keeps the Config defaults (queue
+// capacity 5, PolicyFirstFree, one worker).
 //
-// The plain NewEngine(Config) constructor keeps working; the options form
-// is a convenience over exactly the same Config.
+// NewSimulator(kind, Config) takes the same Config directly; the options
+// form is a convenience over it.
 type EngineOption func(*Config)
 
 // WithQueueCap sets the central-queue capacity (the paper fixes 5).
@@ -75,11 +75,6 @@ func WithWatchdog(windowCycles int) EngineOption {
 	return func(c *Config) { c.DeadlockWindow = windowCycles }
 }
 
-// WithDeadlockWindow sets the watchdog's no-progress window.
-//
-// Deprecated: renamed WithWatchdog; this alias keeps working through v0.x.
-func WithDeadlockWindow(cycles int) EngineOption { return WithWatchdog(cycles) }
-
 // WithFaultPlan schedules deterministic link/node failures for the run and
 // enables degraded-mode routing: misrouting over surviving links (bounded by
 // hopBudget extra traversals beyond the minimal distance; <= 0 selects the
@@ -117,26 +112,6 @@ func buildConfig(algo Algorithm, opts []EngineOption) Config {
 // RunSpec, prefer RunSpec.Build — it validates, fingerprints and caches.
 func NewSimulatorOpts(kind string, algo Algorithm, opts ...EngineOption) (Simulator, error) {
 	return NewSimulator(kind, buildConfig(algo, opts))
-}
-
-// NewEngineOpts builds the buffered cycle-accurate engine from functional
-// options.
-//
-// Deprecated: use NewSimulatorOpts("buffered", algo, opts...) or
-// RunSpec.Build; like NewEngine, this concrete-engine constructor keeps
-// working through v0.x.
-func NewEngineOpts(algo Algorithm, opts ...EngineOption) (*Engine, error) {
-	return NewEngine(buildConfig(algo, opts))
-}
-
-// NewAtomicEngineOpts builds the abstract queue-to-queue engine from
-// functional options.
-//
-// Deprecated: use NewSimulatorOpts("atomic", algo, opts...) or
-// RunSpec.Build; like NewAtomicEngine, this concrete-engine constructor
-// keeps working through v0.x.
-func NewAtomicEngineOpts(algo Algorithm, opts ...EngineOption) (*AtomicEngine, error) {
-	return NewAtomicEngine(buildConfig(algo, opts))
 }
 
 // MultiObserver composes observers into one that fans every probe out to
