@@ -40,9 +40,12 @@ func TestGeneratedTopologiesEndToEnd(t *testing.T) {
 			want := int64(algo.Topology().Nodes() * 3)
 			run := func(kind string, workers int, scanPath bool) repro.Metrics {
 				t.Helper()
+				a := algo
+				if scanPath {
+					a = algo.(interface{ WithoutRouteTable() repro.Algorithm }).WithoutRouteTable()
+				}
 				eng, err := repro.NewSimulator(kind, repro.Config{
-					Algorithm: algo, Seed: 5, Workers: workers,
-					DisableRouteTable: scanPath,
+					Algorithm: a, Seed: 5, Workers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -56,7 +59,7 @@ func TestGeneratedTopologiesEndToEnd(t *testing.T) {
 			}
 			// The default path routes through the compiled next-hop tables;
 			// workers 1 vs 2 must stay bit-identical on it, and the
-			// uncompiled scan path (Config.DisableRouteTable) must produce
+			// uncompiled scan path (WithoutRouteTable) must produce
 			// the same metrics bit for bit.
 			m1 := run("buffered", 1, false)
 			if m1.Delivered != want {

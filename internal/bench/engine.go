@@ -41,16 +41,17 @@ type EngineBenchConfig struct {
 	Seed    int64  // simulation seed (default 1)
 	Repeat  int    // timed repetitions per cell; the fastest is kept (default 3)
 	Engine  string // simulation model: "buffered" (default) or "atomic"
-	// NoMask disables the PortMaskRouter fast path (Config.DisablePortMask),
+	// NoMask disables the PortMaskRouter fast path (core.WithoutPortMask),
 	// giving a same-binary baseline for before/after mask measurements.
 	NoMask bool
 	// NoTable disables the compiled next-hop route tables
-	// (Config.DisableRouteTable), giving a same-binary baseline for
-	// before/after route-table measurements on the graph-adaptive cells.
+	// (core.RouteTableRouter.WithoutRouteTable), giving a same-binary
+	// baseline for before/after route-table measurements on the
+	// graph-adaptive cells.
 	NoTable bool
-	// NoBatch disables the batched injection fast path
-	// (Config.DisableBatchInject), giving a same-binary baseline for
-	// before/after batch-injection measurements.
+	// NoBatch disables the batched injection fast path (sim.Unbatched),
+	// giving a same-binary baseline for before/after batch-injection
+	// measurements.
 	NoBatch bool
 	// Traffic selects the injection model the cells time: "bernoulli"
 	// (default), "mmpp" (bursty, on-rate = the cell's lambda), "trace"
@@ -308,15 +309,18 @@ func engineBenchCell(dims, workers int, cfg EngineBenchConfig) (EngineBenchResul
 		NoBatch: cfg.NoBatch, Traffic: cfg.Traffic,
 		Dims: dims, Nodes: nodes, Workers: workers,
 	}
+	if rt, ok := algo.(core.RouteTableRouter); ok && cfg.NoTable {
+		algo = rt.WithoutRouteTable()
+	}
+	if cfg.NoMask {
+		algo = core.WithoutPortMask(algo)
+	}
 	for _, withObs := range []bool{false, true} {
 		eng, err := sim.NewSimulator(cfg.Engine, sim.Config{
-			Algorithm:          algo,
-			Seed:               cfg.Seed,
-			Workers:            workers,
-			Metrics:            withObs,
-			DisablePortMask:    cfg.NoMask,
-			DisableRouteTable:  cfg.NoTable,
-			DisableBatchInject: cfg.NoBatch,
+			Algorithm: algo,
+			Seed:      cfg.Seed,
+			Workers:   workers,
+			Metrics:   withObs,
 		})
 		if err != nil {
 			return EngineBenchResult{}, err
@@ -325,6 +329,9 @@ func engineBenchCell(dims, workers int, cfg EngineBenchConfig) (EngineBenchResul
 			src, err := newSource()
 			if err != nil {
 				return EngineBenchResult{}, err
+			}
+			if cfg.NoBatch {
+				src = sim.Unbatched(src)
 			}
 			start := time.Now()
 			res, err := eng.Run(nil, src, sim.DynamicPlan(cfg.Warmup, cfg.Measure))

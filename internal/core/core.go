@@ -222,6 +222,14 @@ type PortMaskRouter interface {
 	PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool
 }
 
+// WithoutPortMask returns a view of a that hides PortMaskRouter, so the
+// engines route every packet through Candidates: the same-binary baseline
+// for the mask fast path, and the oracle its determinism tests compare
+// against.
+func WithoutPortMask(a Algorithm) Algorithm { return noPortMask{a} }
+
+type noPortMask struct{ Algorithm }
+
 // Packet is a message in flight. Engines copy packets by value; the struct
 // is kept small deliberately (the 16K-node simulations keep a few hundred
 // thousand of them alive).

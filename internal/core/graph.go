@@ -115,7 +115,7 @@ type graphOptions struct {
 // the pre-compilation implementation did. Routing is bit-identical either
 // way (the route-table property tests pin this); the option exists for
 // those tests and for same-binary before/after benchmarking — see also
-// sim.Config.DisableRouteTable, which applies it at engine construction.
+// GraphAdaptive.WithoutRouteTable, the same switch on a built algorithm.
 func GraphWithoutRouteTable() GraphOption {
 	return func(o *graphOptions) { o.scanOnly = true }
 }
@@ -170,7 +170,7 @@ func allPairsBFS(name string, nbr []int32, n, ports int) (dist []int16, diam int
 // WithoutRouteTable returns a view of the algorithm that routes through
 // the uncompiled interface scan path — bit-identical decisions, no mask
 // table (the flat adjacency and distance tables are shared, immutable).
-// It implements RouteTableRouter for sim.Config.DisableRouteTable.
+// It implements RouteTableRouter.
 func (a *GraphAdaptive) WithoutRouteTable() Algorithm {
 	if a.scan {
 		return a

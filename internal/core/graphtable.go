@@ -16,9 +16,9 @@ const RouteTableFullNodes = 2048
 // relation into flat next-hop tables at construction (GraphAdaptive).
 // WithoutRouteTable returns an equivalent algorithm routing through the
 // uncompiled scan path: decisions are bit-identical, only the per-decision
-// cost differs. sim.Config.DisableRouteTable applies it at engine
-// construction, mirroring DisablePortMask, so both paths stay reachable in
-// one binary for A/B benchmarking and cross-check tests.
+// cost differs. Callers build the engine on that view for same-binary A/B
+// benchmarking and cross-check tests, so both paths stay reachable in one
+// binary.
 type RouteTableRouter interface {
 	Algorithm
 	WithoutRouteTable() Algorithm

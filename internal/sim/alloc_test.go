@@ -35,8 +35,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{engine: "atomic", algo: "hypercube", workers: 1},
 		{engine: "atomic", algo: "hypercube", workers: 1, metrics: true},
 		// The sources implement BatchSource, so the cases above exercise the
-		// batched injection path; DisableBatchInject keeps the scalar path
-		// covered too.
+		// batched injection path; noBatch wraps the source in Unbatched to
+		// keep the per-node fill step covered too.
 		{engine: "buffered", algo: "hypercube", workers: 1, noBatch: true},
 		{engine: "buffered", algo: "hypercube", workers: 2, noBatch: true},
 		{engine: "atomic", algo: "hypercube", workers: 1, noBatch: true},
@@ -80,11 +80,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 				lambda = 0.3 // below saturation, matching the bench rates
 			}
 			eng, err := NewSimulator(tc.engine, Config{
-				Algorithm:          algo,
-				Seed:               1,
-				Workers:            tc.workers,
-				Metrics:            tc.metrics,
-				DisableBatchInject: tc.noBatch,
+				Algorithm: algo,
+				Seed:      1,
+				Workers:   tc.workers,
+				Metrics:   tc.metrics,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -100,6 +99,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 				src = traffic.NewOnOff(traffic.Random{Nodes: nodes}, nodes, 0.9, 0.1, 64, 32, 3)
 			case "trace":
 				src = traffic.NewTraceSource(openAllocTrace(t, tc.engine, nodes), nodes)
+			}
+			if tc.noBatch {
+				src = Unbatched(src)
 			}
 			// A plan far longer than the test steps, so Step never completes
 			// (completion tears down run state, which is not the steady state).

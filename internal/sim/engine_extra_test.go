@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -316,5 +318,30 @@ func TestCutThroughDeterministicParallel(t *testing.T) {
 	}
 	if a, b := run(1), run(4); a != b {
 		t.Errorf("cut-through parallel run diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestPoolReapedWhenEngineUnreachable pins the pool's lifetime: a buffered
+// engine refers to itself through its driver, so its worker goroutines
+// must be stopped by the reaper handle once the engine is garbage.
+func TestPoolReapedWhenEngineUnreachable(t *testing.T) {
+	p := func() *phasePool {
+		a := core.NewHypercubeAdaptive(4)
+		nodes := a.Topology().Nodes()
+		e, err := NewEngine(Config{Algorithm: a, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunStatic(traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 1, 1), 0); err != nil {
+			t.Fatal(err)
+		}
+		return e.pool
+	}()
+	for i := 0; i < 200 && !p.stopping.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !p.stopping.Load() {
+		t.Fatal("the worker pool of an unreachable engine was never stopped")
 	}
 }

@@ -280,3 +280,43 @@ func TestFaultInjectionBackoff(t *testing.T) {
 		t.Error("saturated queues under faults never engaged injection backoff")
 	}
 }
+
+// TestStaticRunWithDeadNodeFinishes pins the drain check on both engines: a
+// node that dies for good never consults its source again, so a static run
+// must finish once everything else drained instead of idling with 0
+// packets in flight until MaxCycles. A node the schedule revives must
+// still inject its whole allotment.
+func TestStaticRunWithDeadNodeFinishes(t *testing.T) {
+	for _, engine := range EngineKinds {
+		for _, spec := range []string{"node:3@0", "node:3@0+50"} {
+			t.Run(engine+"/"+spec, func(t *testing.T) {
+				a := core.NewHypercubeAdaptive(4)
+				nodes := a.Topology().Nodes()
+				plan, err := fault.ParseSpec(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := NewSimulator(engine, Config{Algorithm: a, Seed: 1, Faults: plan})
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 2, 1)
+				res, err := e.Run(context.Background(), src, StaticPlan(20000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := res.Metrics
+				if m.Injected != m.Delivered+m.Dropped {
+					t.Errorf("injected %d != delivered %d + dropped %d", m.Injected, m.Delivered, m.Dropped)
+				}
+				want := int64(nodes * 2)
+				if spec == "node:3@0" {
+					want -= 2 // the dead node's own allotment
+				}
+				if m.Injected != want {
+					t.Errorf("injected %d packets, want %d", m.Injected, want)
+				}
+			})
+		}
+	}
+}

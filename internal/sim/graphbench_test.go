@@ -11,7 +11,7 @@ import (
 // BenchmarkGraphStep measures one Step of a warmed graph-adaptive run, per
 // engine and generator family, on both routing paths: the compiled next-hop
 // route tables (the default) and the uncompiled interface-scan fallback
-// (Config.DisableRouteTable). The table's win grows with port count — the
+// (GraphAdaptive.WithoutRouteTable). The table's win grows with port count — the
 // scan pays two interface calls per port per decision, the table one load —
 // so the high-radix families (hyperx, fat-tree) separate the paths hardest.
 // The cross-cell trajectory lives in BENCH_engine.json (cmd/enginebench);
@@ -37,13 +37,15 @@ func BenchmarkGraphStep(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					algo, err := core.NewGraphAdaptive(g)
+					ga, err := core.NewGraphAdaptive(g)
 					if err != nil {
 						b.Fatal(err)
 					}
-					eng, err := NewSimulator(engine, Config{
-						Algorithm: algo, Seed: 1, DisableRouteTable: path.scan,
-					})
+					var algo core.Algorithm = ga
+					if path.scan {
+						algo = ga.WithoutRouteTable()
+					}
+					eng, err := NewSimulator(engine, Config{Algorithm: algo, Seed: 1})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -10,8 +10,11 @@ package sim
 // The times are measured around the coordinator's phase dispatch, so each
 // parallel phase's figure includes its barrier (release, spin, wake): the
 // breakdown deliberately charges synchronization to the phase that paid it.
+// The atomic model's three sequential sections map onto the same fields:
+// injection draws to InjectNs, the injection-queue drain to PhaseBNs and
+// the Route(q) sweep to PhaseANs (there is no link phase).
 type PhaseTimes struct {
-	InjectNs int64 // injection phase (incl. mail-lane fold)
+	InjectNs int64 // injection phase (incl. mail-lane fold and shard rebalancing)
 	PhaseANs int64 // node phase (a): queues -> output buffers
 	PhaseBNs int64 // node phase (b): input buffers -> queues
 	LinkNs   int64 // link phase (0 for the atomic engine, which has no links)
@@ -35,13 +38,3 @@ func (p *PhaseTimes) add(inject, a, b, link, merge, other int64) {
 	p.OtherNs += other
 	p.Cycles++
 }
-
-// PhaseTimes returns the accumulated per-phase breakdown of the current (or
-// finished) run; all zero unless Config.PhaseProf was set.
-func (e *Engine) PhaseTimes() PhaseTimes { return e.rs.pt }
-
-// PhaseTimes returns the atomic engine's per-phase breakdown; the atomic
-// model's "phases" are its three sequential sections: injection draws map to
-// InjectNs, the injection-queue drain to PhaseBNs, and the Route(q) sweep to
-// PhaseANs (there is no link phase).
-func (e *AtomicEngine) PhaseTimes() PhaseTimes { return e.rs.pt }

@@ -67,11 +67,23 @@ func (p *phasePool) run(fn func(w int)) {
 }
 
 // clear drops the phase closure so the pool does not retain the engine
-// between runs (the engine's finalizer is what eventually stops the pool).
+// between runs (the engine's reaper is what eventually stops the pool).
 func (p *phasePool) clear() { p.fn = nil }
 
+// reaper stops a pool once its engine is unreachable. The engine refers to
+// itself (its driver's node model), and the runtime never finalizes an
+// object on a reference cycle, so the finalizer sits on this handle, which
+// only the engine refers to.
+type reaper struct{ p *phasePool }
+
+func newReaper(p *phasePool) *reaper {
+	r := &reaper{p}
+	runtime.SetFinalizer(r, func(r *reaper) { r.p.stop() })
+	return r
+}
+
 // stop releases the workers for exit. Safe to call more than once; called
-// from the engine finalizer, so it must not block on a running phase (by
+// from the reaper's finalizer, so it must not block on a running phase (by
 // construction it cannot: the engine is unreachable, hence no run is live).
 func (p *phasePool) stop() {
 	if p.stopping.Swap(true) {

@@ -34,13 +34,15 @@ func runToggled(t *testing.T, atomic bool, mk func() core.Algorithm, disable boo
 	inject string, faults *fault.Plan, workers int) Metrics {
 	t.Helper()
 	a := mk()
+	if disable {
+		a = core.WithoutPortMask(a)
+	}
 	nodes := a.Topology().Nodes()
 	cfg := Config{
-		Algorithm:       a,
-		Seed:            12345,
-		Workers:         workers,
-		DisablePortMask: disable,
-		Faults:          faults,
+		Algorithm: a,
+		Seed:      12345,
+		Workers:   workers,
+		Faults:    faults,
 	}
 	var (
 		m   Metrics
