@@ -1,10 +1,12 @@
 // Package daemon implements routesimd's HTTP service: simulation as a
 // service over the scheduler/store/executor split. POST /v1/sim accepts a
-// canonical exec.RunSpec as JSON, serves repeats straight from the
-// content-addressed result store (internal/store) without simulating,
-// deduplicates concurrent identical requests in flight (singleflight), and
-// queues genuine misses onto the sweep scheduler behind a bounded queue
-// with HTTP 429 backpressure. Progress streams as Server-Sent Events from
+// canonical exec.RunSpec as JSON and checks its fields (exec.RunSpec.Check,
+// which needs no network). It serves repeats straight from the
+// content-addressed result store (internal/store) without building the
+// network or simulating, deduplicates concurrent identical requests in
+// flight (singleflight), and compiles each genuine miss once and queues it
+// onto the sweep scheduler behind a bounded queue with HTTP 429
+// backpressure. Progress streams as Server-Sent Events from
 // the Observer layer; /metrics exposes the store and queue counters in
 // Prometheus text format next to the usual pprof handlers.
 package daemon
@@ -40,8 +42,9 @@ type Config struct {
 	// QueueCap bounds requests waiting for an execution slot; submissions
 	// beyond it receive 429. Default 16.
 	QueueCap int
-	// MaxCost rejects specs whose estimated work (RunSpec.Cost, in
-	// node-cycles) exceeds it with 413; 0 accepts everything.
+	// MaxCost rejects missed specs whose estimated work
+	// (exec.Compiled.Cost, in node-cycles) exceeds it with 413; 0 accepts
+	// everything. Store hits are served whatever their cost.
 	MaxCost float64
 	// RunTimeout bounds a single simulation's wall clock; 0 = unbounded.
 	RunTimeout time.Duration
@@ -50,7 +53,9 @@ type Config struct {
 	// BuildID overrides the fingerprint build key (tests); default
 	// buildid.ID().
 	BuildID string
-	// Exec overrides the executor (tests); default exec.Run.
+	// Exec overrides the executor (tests). It receives the canonical spec.
+	// The default runs the spec the daemon already compiled, as exec.Run
+	// would.
 	Exec func(ctx context.Context, s exec.RunSpec, o obs.Observer) (exec.Result, error)
 }
 
@@ -84,6 +89,7 @@ type flight struct {
 // Server is the daemon: build one with New, mount Handler, Close on exit.
 type Server struct {
 	cfg   Config
+	run   func(ctx context.Context, c *exec.Compiled, o obs.Observer) (exec.Result, error)
 	st    *store.Store
 	sched *sweep.Scheduler
 	mux   *http.ServeMux
@@ -121,12 +127,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BuildID == "" {
 		cfg.BuildID = buildid.ID()
 	}
-	if cfg.Exec == nil {
-		cfg.Exec = exec.Run
+	run := func(ctx context.Context, c *exec.Compiled, o obs.Observer) (exec.Result, error) {
+		return c.Run(ctx, o)
+	}
+	if cfg.Exec != nil {
+		run = func(ctx context.Context, c *exec.Compiled, o obs.Observer) (exec.Result, error) {
+			return cfg.Exec(ctx, c.Spec(), o)
+		}
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
+		run:      run,
 		st:       cfg.Store,
 		sched:    sweep.NewScheduler(cfg.Jobs, cfg.Budget, cfg.QueueCap),
 		baseCtx:  ctx,
@@ -198,8 +210,11 @@ func (s *Server) handleGetByFP(w http.ResponseWriter, r *http.Request) {
 	s.writeResultBlob(w, blob, true, false)
 }
 
-// handleSim is POST /v1/sim: validate, fingerprint, serve from store,
-// dedup in flight, or schedule.
+// handleSim is POST /v1/sim: check, fingerprint, serve from store, dedup
+// in flight, or compile and schedule. A store hit is served on Check alone:
+// the stored result proves a spec with this fingerprint compiled, and
+// Check guards every field the fingerprint does not key, so the network is
+// only built for a miss.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST with a JSON RunSpec body", "")
@@ -212,21 +227,16 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad RunSpec JSON: "+err.Error(), "")
 		return
 	}
-	if err := spec.Validate(); err != nil {
-		var fe *exec.FieldError
-		field := ""
-		if errors.As(err, &fe) {
-			field = fe.Field
-		}
-		writeErr(w, http.StatusBadRequest, err.Error(), field)
+	if err := spec.Check(); err != nil {
+		writeSpecErr(w, err)
 		return
 	}
 	sse := wantsSSE(r)
 	fp := spec.Fingerprint(s.cfg.BuildID)
-	s.requests.Add(1)
 
-	// Cache hit: serve the stored result, no simulation.
+	// Cache hit: serve the stored result, no network, no simulation.
 	if blob, ok := s.st.Get(fp); ok {
+		s.requests.Add(1)
 		if sse {
 			streamCachedResult(w, blob)
 			return
@@ -235,18 +245,45 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Miss: join an identical in-flight run, or lead a new one.
-	s.mu.Lock()
-	if fl, ok := s.inflight[fp]; ok {
-		s.mu.Unlock()
+	// Miss: join an identical in-flight run, or compile the spec and lead
+	// a new one.
+	fl, c, err := s.joinOrCompile(spec, fp)
+	if err != nil {
+		writeSpecErr(w, err)
+		return
+	}
+	s.requests.Add(1)
+	if c == nil {
 		s.coalesced.Add(1)
 		s.waitFlight(w, r, fl, sse)
 		return
 	}
-	fl := &flight{done: make(chan struct{})}
-	s.inflight[fp] = fl
+	s.lead(w, c, fp, fl, sse)
+}
+
+// joinOrCompile returns the in-flight run of fp to join, whose leader
+// compiled a spec of this fingerprint, so the spec needs no compile of its
+// own. Otherwise it compiles the spec and registers a new run, which it
+// returns with the compiled form for this request to lead.
+func (s *Server) joinOrCompile(spec exec.RunSpec, fp string) (*flight, *exec.Compiled, error) {
+	s.mu.Lock()
+	fl, ok := s.inflight[fp]
 	s.mu.Unlock()
-	s.lead(w, r, spec, fp, fl, sse)
+	if ok {
+		return fl, nil, nil
+	}
+	c, err := spec.Compile()
+	if err != nil {
+		return nil, nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if fl, ok := s.inflight[fp]; ok { // started while this request compiled
+		return fl, nil, nil
+	}
+	fl = &flight{done: make(chan struct{})}
+	s.inflight[fp] = fl
+	return fl, c, nil
 }
 
 // waitFlight blocks a coalesced request until the leader's run completes,
@@ -278,7 +315,7 @@ func (s *Server) waitFlight(w http.ResponseWriter, r *http.Request, fl *flight, 
 
 // lead executes the run for a fingerprint this request now owns: submit to
 // the scheduler (429 on a full queue), run, store, publish to followers.
-func (s *Server) lead(w http.ResponseWriter, r *http.Request, spec exec.RunSpec, fp string, fl *flight, sse bool) {
+func (s *Server) lead(w http.ResponseWriter, c *exec.Compiled, fp string, fl *flight, sse bool) {
 	finish := func(resp Response, err error, code int) {
 		fl.resp, fl.err, fl.code = resp, err, code
 		s.mu.Lock()
@@ -287,7 +324,7 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, spec exec.RunSpec,
 		close(fl.done)
 	}
 
-	cost := spec.Cost()
+	cost := c.Cost()
 	if s.cfg.MaxCost > 0 && cost > s.cfg.MaxCost {
 		s.rejected.Add(1)
 		err := fmt.Errorf("spec estimated cost %.3g node-cycles exceeds this server's limit %.3g", cost, s.cfg.MaxCost)
@@ -317,21 +354,21 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, spec exec.RunSpec,
 	var runErr error
 	task := sweep.Task{
 		Cost:           cost,
-		Parallelizable: spec.Parallelizable(),
+		Parallelizable: c.Parallelizable(),
 		Run: func(workers int) {
 			defer close(done)
 			if cancel != nil {
 				defer cancel()
 			}
-			runSpec := spec
-			if runSpec.Workers == 0 {
-				runSpec.Workers = workers
+			run := c
+			if run.Spec().Workers == 0 {
+				run = c.WithWorkers(workers)
 			}
 			var o obs.Observer
 			if prog != nil {
 				o = prog
 			}
-			res, runErr = s.cfg.Exec(runCtx, runSpec, o)
+			res, runErr = s.run(runCtx, run, o)
 		},
 	}
 	if err := s.sched.TrySubmit(task); err != nil {
@@ -413,6 +450,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, msg, field string) {
 	writeJSON(w, code, errorBody{Error: msg, Field: field})
+}
+
+// writeSpecErr answers an invalid spec with 400, naming the offending field
+// when the error carries one.
+func writeSpecErr(w http.ResponseWriter, err error) {
+	var fe *exec.FieldError
+	field := ""
+	if errors.As(err, &fe) {
+		field = fe.Field
+	}
+	writeErr(w, http.StatusBadRequest, err.Error(), field)
 }
 
 func mustJSON(v any) []byte {

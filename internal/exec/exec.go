@@ -37,10 +37,16 @@ func BuildID() string { return buildid.ID() }
 // endpoint; observers are read-only, so the Result is bit-identical with
 // or without one.
 func Run(ctx context.Context, s RunSpec, o obs.Observer) (Result, error) {
-	c, err := s.compile()
+	c, err := s.Compile()
 	if err != nil {
 		return Result{}, err
 	}
+	return c.Run(ctx, o)
+}
+
+// Run builds the engine, source and plan of the compiled spec and executes
+// the run, as the package-level Run does after compiling.
+func (c *Compiled) Run(ctx context.Context, o obs.Observer) (Result, error) {
 	eng, err := c.build(o)
 	if err != nil {
 		return Result{}, err
@@ -56,7 +62,7 @@ func Run(ctx context.Context, s RunSpec, o obs.Observer) (Result, error) {
 	}
 	return Result{
 		V:          SpecVersion,
-		FP:         s.Fingerprint(BuildID()),
+		FP:         c.spec.Fingerprint(BuildID()),
 		Spec:       c.spec,
 		Metrics:    res.Metrics,
 		ElapsedSec: time.Since(start).Seconds(),

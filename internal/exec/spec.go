@@ -190,27 +190,76 @@ func (s RunSpec) Canon() RunSpec {
 	return c
 }
 
-// Validate checks the spec without building it. Errors are structured:
+// Validate checks the spec: every field, and the network, algorithm and
+// pattern it names, which it builds to check them. Errors are structured:
 // every failure is a *FieldError naming the offending field, wrapping the
 // underlying *spec.ParseError / *spec.UnknownNameError when the field
 // value itself is a sub-spec.
 func (s RunSpec) Validate() error {
-	_, err := s.compile()
+	_, err := s.Compile()
 	return err
 }
 
-// compiled is the validated, constructed form of a spec.
-type compiled struct {
+// Check runs the checks of Validate that need no network: the schema
+// version, the algo/topology pairing, engine, policy, the injection model
+// and its window, queue_cap, workers, the traffic model and its
+// static/dynamic rule, faults and hop_budget. What it leaves to Validate —
+// building the topology, algorithm and pattern — depends only on fields
+// the fingerprint keys (algo, topology, pattern, seed), while Check covers
+// every field the fingerprint leaves out or Canon folds away. So a spec
+// that passes Check and shares its fingerprint with a spec that passed
+// Validate is valid too, and a stored result can be served on Check alone.
+//
+// A nil Check does not imply a nil Validate. A non-nil Check is the error
+// Validate returns: when a field check fails, the network is built to see
+// whether Validate, which checks it first, fails there instead.
+func (s RunSpec) Check() error {
+	c, err := s.checkHead()
+	if err != nil {
+		return err
+	}
+	if err := c.checkTail(); err != nil {
+		if cerr := c.construct(s.Topology == ""); cerr != nil {
+			return cerr
+		}
+		return err
+	}
+	return nil
+}
+
+// Compiled is a validated spec with its network, algorithm and traffic
+// pattern built: everything a run needs except the engine and the traffic
+// source, which Run builds fresh. Compile a spec once and ask the result
+// for its cost, its parallelism and its run.
+type Compiled struct {
 	spec    RunSpec // canonical
+	family  string
 	algo    core.Algorithm
 	pat     traffic.Pattern
 	policy  sim.Policy
-	plan    fault.Plan // zero unless faults are set
 	faults  *fault.Plan
 	traffic *spec.TrafficSpec // nil when the spec names no traffic model
 }
 
-func (s RunSpec) compile() (*compiled, error) {
+// Compile validates the spec and builds its network, algorithm and
+// pattern. The error is Validate's.
+func (s RunSpec) Compile() (*Compiled, error) {
+	c, err := s.checkHead()
+	if err == nil {
+		err = c.construct(s.Topology == "")
+	}
+	if err == nil {
+		err = c.checkTail()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// checkHead canonicalizes the spec and checks the fields Validate checks
+// before building the network: version, algo and the topology's presence.
+func (s RunSpec) checkHead() (*Compiled, error) {
 	// A combined v1 algo that contradicts an explicit topology survives
 	// Canon un-split; detect the conflict against the original spec so the
 	// error can name both halves.
@@ -232,83 +281,96 @@ func (s RunSpec) compile() (*compiled, error) {
 	if c.Topology == "" {
 		return nil, fieldErr("topology", "required with bare algorithm family %q; e.g. %q, or use the combined form %q", c.Algo, "hypercube:8", c.Algo+":8")
 	}
-	topo, err := spec.Topology(c.Topology)
+	return &Compiled{spec: c, family: family}, nil
+}
+
+// construct builds the network, algorithm and pattern. impliedTopology
+// reports that the caller wrote no topology field, so a bad topology came
+// through the combined algo field and is blamed on it.
+func (c *Compiled) construct(impliedTopology bool) error {
+	topo, err := spec.Topology(c.spec.Topology)
 	if err != nil {
-		// When the topology was implied by a combined v1 algo spec, the bad
-		// value arrived through the algo field; blame what the caller wrote.
 		field := "topology"
-		if s.Topology == "" {
+		if impliedTopology {
 			field = "algo"
 		}
-		return nil, &FieldError{Field: field, Err: err}
+		return &FieldError{Field: field, Err: err}
 	}
-	algo, err := spec.AlgorithmOn(family, topo)
+	algo, err := spec.AlgorithmOn(c.family, topo)
 	if err != nil {
-		return nil, &FieldError{Field: "algo", Err: err}
+		return &FieldError{Field: "algo", Err: err}
 	}
-	pat, err := spec.Pattern(c.Pattern, algo, c.Seed+1)
+	pat, err := spec.Pattern(c.spec.Pattern, algo, c.spec.Seed+1)
 	if err != nil {
-		return nil, &FieldError{Field: "pattern", Err: err}
+		return &FieldError{Field: "pattern", Err: err}
 	}
-	switch c.Engine {
+	c.algo, c.pat = algo, pat
+	return nil
+}
+
+// checkTail checks the fields Validate checks after building the network
+// and parses the policy, traffic model and fault schedule into c.
+func (c *Compiled) checkTail() error {
+	s := c.spec
+	switch s.Engine {
 	case "buffered", "atomic":
 	default:
-		return nil, fieldErr("engine", "unknown engine %q, valid: %v", c.Engine, sim.EngineKinds)
+		return fieldErr("engine", "unknown engine %q, valid: %v", s.Engine, sim.EngineKinds)
 	}
-	policy, err := sim.ParsePolicy(c.Policy)
+	policy, err := sim.ParsePolicy(s.Policy)
 	if err != nil {
-		return nil, &FieldError{Field: "policy", Err: err}
+		return &FieldError{Field: "policy", Err: err}
 	}
-	switch c.Inject {
+	c.policy = policy
+	switch s.Inject {
 	case "static":
-		if c.Packets < 1 {
-			return nil, fieldErr("packets", "static injection needs packets >= 1, got %d", c.Packets)
+		if s.Packets < 1 {
+			return fieldErr("packets", "static injection needs packets >= 1, got %d", s.Packets)
 		}
-		if c.MaxCycles < 1 {
-			return nil, fieldErr("max_cycles", "must be >= 1, got %d", c.MaxCycles)
+		if s.MaxCycles < 1 {
+			return fieldErr("max_cycles", "must be >= 1, got %d", s.MaxCycles)
 		}
 	case "dynamic":
-		if !(c.Lambda > 0 && c.Lambda <= 1) { // rejects NaN too
-			return nil, fieldErr("lambda", "must be in (0,1], got %v", c.Lambda)
+		if !(s.Lambda > 0 && s.Lambda <= 1) { // rejects NaN too
+			return fieldErr("lambda", "must be in (0,1], got %v", s.Lambda)
 		}
-		if c.Warmup < 0 || c.Measure < 1 {
-			return nil, fieldErr("measure", "dynamic window needs warmup >= 0 and measure >= 1, got %d/%d", c.Warmup, c.Measure)
+		if s.Warmup < 0 || s.Measure < 1 {
+			return fieldErr("measure", "dynamic window needs warmup >= 0 and measure >= 1, got %d/%d", s.Warmup, s.Measure)
 		}
 	default:
-		return nil, fieldErr("inject", "unknown injection model %q, valid: static, dynamic", c.Inject)
+		return fieldErr("inject", "unknown injection model %q, valid: static, dynamic", s.Inject)
 	}
-	if c.QueueCap < 1 {
-		return nil, fieldErr("queue_cap", "must be >= 1, got %d", c.QueueCap)
+	if s.QueueCap < 1 {
+		return fieldErr("queue_cap", "must be >= 1, got %d", s.QueueCap)
 	}
-	if c.Workers < 0 {
-		return nil, fieldErr("workers", "must be >= 0, got %d", c.Workers)
+	if s.Workers < 0 {
+		return fieldErr("workers", "must be >= 0, got %d", s.Workers)
 	}
-	if c.Workers > 1 && c.Engine == "atomic" {
-		return nil, fieldErr("workers",
-			"the atomic engine is inherently sequential and cannot use %d workers; omit workers or use the buffered engine", c.Workers)
+	if s.Workers > 1 && s.Engine == "atomic" {
+		return fieldErr("workers",
+			"the atomic engine is inherently sequential and cannot use %d workers; omit workers or use the buffered engine", s.Workers)
 	}
-	out := &compiled{spec: c, algo: algo, pat: pat, policy: policy}
-	if c.Traffic != "" {
-		ts, err := spec.ParseTraffic(c.Traffic)
+	if s.Traffic != "" {
+		ts, err := spec.ParseTraffic(s.Traffic)
 		if err != nil {
-			return nil, &FieldError{Field: "traffic", Err: err}
+			return &FieldError{Field: "traffic", Err: err}
 		}
-		if ts.Dynamic() && c.Inject != "dynamic" {
-			return nil, fieldErr("traffic", "model %q generates dynamic traffic and needs inject \"dynamic\", got %q", ts.Kind, c.Inject)
+		if ts.Dynamic() && s.Inject != "dynamic" {
+			return fieldErr("traffic", "model %q generates dynamic traffic and needs inject \"dynamic\", got %q", ts.Kind, s.Inject)
 		}
-		out.traffic = ts
+		c.traffic = ts
 	}
-	if c.Faults != "" {
-		plan, err := fault.ParseSpec(c.Faults)
+	if s.Faults != "" {
+		plan, err := fault.ParseSpec(s.Faults)
 		if err != nil {
-			return nil, &FieldError{Field: "faults", Err: err}
+			return &FieldError{Field: "faults", Err: err}
 		}
-		out.faults = plan
+		c.faults = plan
 	}
-	if c.HopBudget < 0 {
-		return nil, fieldErr("hop_budget", "must be >= 0, got %d", c.HopBudget)
+	if s.HopBudget < 0 {
+		return fieldErr("hop_budget", "must be >= 0, got %d", s.HopBudget)
 	}
-	return out, nil
+	return nil
 }
 
 // Fingerprint hashes everything that determines the run's results — the
@@ -358,14 +420,14 @@ func (s RunSpec) Fingerprint(buildID string) string {
 // assembling a sim.Config by hand. Use Source for the matching traffic
 // source and plan, or Run to do both and execute.
 func (s RunSpec) Build() (sim.Simulator, error) {
-	c, err := s.compile()
+	c, err := s.Compile()
 	if err != nil {
 		return nil, err
 	}
 	return c.build(nil)
 }
 
-func (c *compiled) build(o simObserver) (sim.Simulator, error) {
+func (c *Compiled) build(o simObserver) (sim.Simulator, error) {
 	cfg := sim.Config{
 		Algorithm:      c.algo,
 		QueueCap:       c.spec.QueueCap,
@@ -385,7 +447,7 @@ func (c *compiled) build(o simObserver) (sim.Simulator, error) {
 // Source validates the spec and constructs its traffic source and run
 // plan, the counterpart of Build.
 func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
-	c, err := s.compile()
+	c, err := s.Compile()
 	if err != nil {
 		return nil, sim.Plan{}, err
 	}
@@ -394,7 +456,7 @@ func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
 
 // source builds the traffic source and plan. It can fail: a trace model
 // opens its file here, at run time.
-func (c *compiled) source() (sim.TrafficSource, sim.Plan, error) {
+func (c *Compiled) source() (sim.TrafficSource, sim.Plan, error) {
 	nodes := c.algo.Topology().Nodes()
 	plan := sim.StaticPlan(c.spec.MaxCycles)
 	if c.spec.Inject == "dynamic" {
@@ -413,14 +475,21 @@ func (c *compiled) source() (sim.TrafficSource, sim.Plan, error) {
 	return traffic.NewStaticSource(c.pat, nodes, c.spec.Packets, c.spec.Seed+2), plan, nil
 }
 
+// Spec returns the canonical spec c was compiled from.
+func (c *Compiled) Spec() RunSpec { return c.spec }
+
+// WithWorkers returns a copy of c whose run shards the buffered engine
+// across n workers; the network, algorithm and pattern are shared.
+func (c *Compiled) WithWorkers(n int) *Compiled {
+	w := *c
+	w.spec.Workers = n
+	return &w
+}
+
 // Cost estimates the run's work in node-cycles for admission control and
 // worker-grant decisions — the RunSpec analogue of the sweep's cell cost
-// model. Only relative accuracy matters. Invalid specs cost 0.
-func (s RunSpec) Cost() float64 {
-	c, err := s.compile()
-	if err != nil {
-		return 0
-	}
+// model. Only relative accuracy matters.
+func (c *Compiled) Cost() float64 {
 	nodes := c.algo.Topology().Nodes()
 	if c.spec.Inject == "dynamic" {
 		return float64(nodes) * float64(c.spec.Warmup+c.spec.Measure)
@@ -434,12 +503,7 @@ func (s RunSpec) Cost() float64 {
 
 // Parallelizable reports whether the run's results are invariant under
 // Workers > 1 (credited algorithms and the atomic engine are not), the
-// fact the scheduler needs to decide worker grants. Invalid specs report
-// false.
-func (s RunSpec) Parallelizable() bool {
-	c, err := s.compile()
-	if err != nil {
-		return false
-	}
+// fact the scheduler needs to decide worker grants.
+func (c *Compiled) Parallelizable() bool {
 	return !c.algo.Props().Credits && c.spec.Engine != "atomic"
 }

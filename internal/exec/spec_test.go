@@ -197,20 +197,28 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestCostAndParallelizable(t *testing.T) {
-	stat := small()
-	dyn := RunSpec{Algo: "hypercube-adaptive:4", Inject: "dynamic", Warmup: 100, Measure: 300}
+	compile := func(s RunSpec) *Compiled {
+		t.Helper()
+		c, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	stat := compile(small())
+	dyn := compile(RunSpec{Algo: "hypercube-adaptive:4", Inject: "dynamic", Warmup: 100, Measure: 300})
 	if stat.Cost() <= 0 || dyn.Cost() <= 0 {
 		t.Fatalf("valid specs must have positive cost: %v %v", stat.Cost(), dyn.Cost())
 	}
-	if (RunSpec{}).Cost() != 0 {
-		t.Error("invalid spec should cost 0")
+	if _, err := (RunSpec{}).Compile(); err == nil {
+		t.Error("an empty spec compiled")
 	}
 	if !stat.Parallelizable() {
 		t.Error("buffered non-credited run should be parallelizable")
 	}
 	atomic := small()
 	atomic.Engine = "atomic"
-	if atomic.Parallelizable() {
+	if compile(atomic).Parallelizable() {
 		t.Error("atomic engine must not be parallelizable")
 	}
 }
