@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -19,6 +20,7 @@ import (
 
 	"repro"
 	"repro/internal/bench"
+	"repro/internal/exec"
 )
 
 // benchDims returns the hypercube dimension used by the table benchmarks.
@@ -39,14 +41,18 @@ func benchTable(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	dims := benchDims()
-	opt := bench.Options{Seed: 1, Warmup: 300, Measure: 1000}
-	var row bench.Row
+	spec, err := ex.Spec(dims, bench.Options{Seed: 1, Warmup: 300, Measure: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var res exec.Result
 	for i := 0; i < b.N; i++ {
-		row, err = ex.Run(dims, opt)
+		res, err = exec.Run(context.Background(), spec, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	row := ex.Row(dims, res.Metrics)
 	b.ReportMetric(row.Lavg, "Lavg")
 	b.ReportMetric(float64(row.Lmax), "Lmax")
 	if ex.Injection == bench.Dynamic {

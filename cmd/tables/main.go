@@ -58,7 +58,7 @@ func main() {
 		warmup     = flag.Int64("warmup", 500, "dynamic runs: warmup cycles")
 		measure    = flag.Int64("measure", 1500, "dynamic runs: measured cycles")
 		policy     = flag.String("policy", "first-free", "selection policy: first-free|random|static-first|last-free")
-		workers    = flag.Int("workers", 0, "force this many workers per simulation (0 = let the scheduler decide)")
+		workers    = flag.Int("workers", 0, "force this many workers per simulation, capped at -budget (0 = let the scheduler decide); credited and atomic cells always run on one")
 		engine     = flag.String("engine", "buffered", "simulation model: buffered (paper's node model) | atomic (Section 2)")
 		jobs       = flag.Int("jobs", 1, "concurrent experiment cells")
 		budget     = flag.Int("budget", 0, "total worker budget across cells (0 = GOMAXPROCS)")

@@ -10,10 +10,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sim"
 )
@@ -92,15 +90,6 @@ type Options struct {
 	// a RunSpec traffic spec such as "mmpp" or "onoff:hi=0.9,lo=0.1" (empty
 	// = the paper's Bernoulli process). Static cells ignore it.
 	Traffic string
-}
-
-// Filled returns the options with unset fields replaced by the paper's
-// defaults — the exported form of the fill step, for callers (the sweep
-// orchestrator) that need the effective values for cost estimates and
-// checkpoint fingerprints.
-func (o Options) Filled() Options {
-	o.fill()
-	return o
 }
 
 func (o *Options) fill() {
@@ -183,19 +172,6 @@ func FindTable(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// algorithm builds the hypercube algorithm variant for the options.
-func algorithm(dims int, opt Options) (core.Algorithm, error) {
-	switch opt.Algorithm {
-	case "adaptive":
-		return core.NewHypercubeAdaptive(dims), nil
-	case "hung":
-		return core.NewHypercubeHung(dims), nil
-	case "ecube":
-		return core.NewHypercubeECube(dims), nil
-	}
-	return nil, fmt.Errorf("bench: unknown algorithm variant %q", opt.Algorithm)
-}
-
 // paperRow returns the published values for dims, or a zero row.
 func (ex Experiment) paperRow(dims int) PaperRow {
 	for _, r := range ex.Paper {
@@ -215,29 +191,11 @@ func (ex Experiment) Dims() []int {
 	return out
 }
 
-// Cell returns orchestration facts about the cell at the given dimension:
-// its node count and whether the cell may be simulated with Workers > 1
-// without changing its results (credited algorithms tie-break differently
-// across worker counts; the atomic engine ignores Workers entirely, so
-// granting it more would only waste budget).
-func (ex Experiment) Cell(dims int, opt Options) (nodes int, parallelizable bool, err error) {
-	opt.fill()
-	a, err := algorithm(dims, opt)
-	if err != nil {
-		return 0, false, err
-	}
-	return a.Topology().Nodes(), !a.Props().Credits && opt.Engine != "atomic", nil
-}
-
-// Run executes one row of the experiment at the given hypercube dimension.
-func (ex Experiment) Run(dims int, opt Options) (Row, error) {
-	return ex.RunCtx(nil, dims, opt)
-}
-
 // Spec translates one table cell into the canonical exec.RunSpec: the
 // paper's algorithm variant and pattern as spec strings, the injection
 // model as packets-per-node or a λ=1 Bernoulli window, and the options'
-// result-affecting knobs. The returned spec is what RunCtx executes.
+// result-affecting knobs. A table cell and a POSTed spec with the same
+// parameters are the same run, fingerprint and all.
 func (ex Experiment) Spec(dims int, opt Options) (exec.RunSpec, error) {
 	opt.fill()
 	s := exec.RunSpec{
@@ -265,25 +223,6 @@ func (ex Experiment) Spec(dims int, opt Options) (exec.RunSpec, error) {
 	return s, nil
 }
 
-// RunCtx is Run with cancellation: the simulation stops within one cycle of
-// ctx being canceled and the cell returns ctx's error.
-//
-// Execution goes through the canonical exec.RunSpec path — the same
-// assembly the daemon and the result store use — so a table cell and a
-// POSTed spec with the same parameters are the same run, fingerprint and
-// all.
-func (ex Experiment) RunCtx(ctx context.Context, dims int, opt Options) (Row, error) {
-	s, err := ex.Spec(dims, opt)
-	if err != nil {
-		return Row{}, err
-	}
-	res, err := exec.Run(ctx, s, nil)
-	if err != nil {
-		return Row{}, err
-	}
-	return ex.Row(dims, res.Metrics), nil
-}
-
 // Row builds the measured row of the cell at dims from its run's metrics,
 // paired with the paper's values. It is the one step from a cell's
 // sim.Metrics to its table row, so a row replayed from the result store
@@ -305,23 +244,6 @@ func measuredRow(size, nodes int, m sim.Metrics) Row {
 		Cycles:    m.Cycles,
 		Delivered: m.Delivered,
 	}
-}
-
-// RunAll executes the experiment at every dimension the paper reports, up
-// to maxDims (0 = all).
-func (ex Experiment) RunAll(maxDims int, opt Options) ([]Row, error) {
-	var rows []Row
-	for _, d := range ex.Dims() {
-		if maxDims > 0 && d > maxDims {
-			continue
-		}
-		r, err := ex.Run(d, opt)
-		if err != nil {
-			return rows, fmt.Errorf("%s n=%d: %w", ex.ID, d, err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
 }
 
 // Format renders measured rows against the paper's values.

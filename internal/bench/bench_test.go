@@ -1,10 +1,34 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/sim"
 )
+
+// cell is what the tests need of a paper table or an extended experiment.
+type cell interface {
+	Spec(size int, opt Options) (exec.RunSpec, error)
+	Row(size int, m sim.Metrics) Row
+}
+
+// runCell runs one cell the way the sweep does: its RunSpec through the
+// executor, its row from the run's metrics.
+func runCell(ex cell, size int, opt Options) (Row, error) {
+	s, err := ex.Spec(size, opt)
+	if err != nil {
+		return Row{}, err
+	}
+	res, err := exec.Run(context.Background(), s, nil)
+	if err != nil {
+		return Row{}, err
+	}
+	return ex.Row(size, res.Metrics), nil
+}
 
 func TestTablesComplete(t *testing.T) {
 	tables := Tables()
@@ -49,7 +73,7 @@ func TestRunStaticTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := ex.Run(6, Options{Seed: 3})
+		row, err := runCell(ex, 6, Options{Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -71,7 +95,7 @@ func TestRunDynamicTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := ex.Run(6, Options{Seed: 3, Warmup: 100, Measure: 400})
+	row, err := runCell(ex, 6, Options{Seed: 3, Warmup: 100, Measure: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,44 +114,52 @@ func TestAblationVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := ex.Run(6, Options{Seed: 3})
+	adaptive, err := runCell(ex, 6, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hung, err := ex.Run(6, Options{Seed: 3, Algorithm: "hung"})
+	hung, err := runCell(ex, 6, Options{Seed: 3, Algorithm: "hung"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if adaptive.Cycles >= hung.Cycles {
 		t.Errorf("adaptive drained in %d cycles, hung in %d; expected a clear win", adaptive.Cycles, hung.Cycles)
 	}
-	if _, err := ex.Run(6, Options{Seed: 3, Algorithm: "ecube"}); err != nil {
+	if _, err := runCell(ex, 6, Options{Seed: 3, Algorithm: "ecube"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Run(6, Options{Seed: 3, Algorithm: "bogus"}); err == nil {
+	if _, err := runCell(ex, 6, Options{Seed: 3, Algorithm: "bogus"}); err == nil {
 		t.Fatal("bogus algorithm variant accepted")
 	}
 }
 
-// TestRunAllRespectsMaxDims verifies dimension filtering.
+// TestRunAllRespectsMaxDims checks that a dimension bound of 10 keeps only
+// table2's n=10 cell, and that cell against its closed form and the paper
+// row attached to it.
 func TestRunAllRespectsMaxDims(t *testing.T) {
 	ex, err := FindTable("table2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ex.RunAll(10, Options{Seed: 3})
+	var dims []int
+	for _, d := range ex.Dims() {
+		if d <= 10 {
+			dims = append(dims, d)
+		}
+	}
+	if len(dims) != 1 || dims[0] != 10 {
+		t.Fatalf("table2 dimensions up to 10: %v, want [10]", dims)
+	}
+	row, err := runCell(ex, 10, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Dims != 10 {
-		t.Fatalf("RunAll(10) returned %d rows", len(rows))
-	}
 	// Exact closed form at the published size: complement, 1 packet.
-	if rows[0].Lavg != 21 || rows[0].Lmax != 21 {
-		t.Errorf("table2 n=10: got %.2f/%d, want the paper's exact 21/21", rows[0].Lavg, rows[0].Lmax)
+	if row.Lavg != 21 || row.Lmax != 21 {
+		t.Errorf("table2 n=10: got %.2f/%d, want the paper's exact 21/21", row.Lavg, row.Lmax)
 	}
-	if math.Abs(rows[0].Lavg-rows[0].Paper.Lavg) > 1e-9 {
-		t.Errorf("paper row not attached correctly: %+v", rows[0].Paper)
+	if math.Abs(row.Lavg-row.Paper.Lavg) > 1e-9 {
+		t.Errorf("paper row not attached correctly: %+v", row.Paper)
 	}
 }
 

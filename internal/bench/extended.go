@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -103,25 +102,12 @@ func FindExtended(id string) (Extended, error) {
 	return Extended{}, fmt.Errorf("bench: unknown extended experiment %q", id)
 }
 
-// Cell returns orchestration facts about the cell at the given size; see
-// (Experiment).Cell.
-func (ex Extended) Cell(size int, opt Options) (nodes int, parallelizable bool, err error) {
-	opt.fill()
-	a := ex.Algo(size)
-	return a.Topology().Nodes(), !a.Props().Credits && opt.Engine != "atomic", nil
-}
-
 // PacketsPerNode returns the static-N injection count for the size.
 func (ex Extended) PacketsPerNode(size int) int {
 	if ex.PerNode != nil {
 		return ex.PerNode(size)
 	}
 	return size
-}
-
-// Run executes one row of the extended experiment.
-func (ex Extended) Run(size int, opt Options) (Row, error) {
-	return ex.RunCtx(nil, size, opt)
 }
 
 // Spec translates one extended-suite cell into the canonical exec.RunSpec;
@@ -159,41 +145,10 @@ func (ex Extended) Spec(size int, opt Options) (exec.RunSpec, error) {
 	return s, nil
 }
 
-// RunCtx is Run with cancellation; see (Experiment).RunCtx. Like the
-// published tables, extended cells execute through the canonical
-// exec.RunSpec path.
-func (ex Extended) RunCtx(ctx context.Context, size int, opt Options) (Row, error) {
-	s, err := ex.Spec(size, opt)
-	if err != nil {
-		return Row{}, err
-	}
-	res, err := exec.Run(ctx, s, nil)
-	if err != nil {
-		return Row{}, err
-	}
-	return ex.Row(size, res.Metrics), nil
-}
-
 // Row builds the measured row of the cell at size from its run's metrics;
 // see (Experiment).Row.
 func (ex Extended) Row(size int, m sim.Metrics) Row {
 	return measuredRow(size, ex.Algo(size).Topology().Nodes(), m)
-}
-
-// RunAll executes every size up to maxSize (0 = all).
-func (ex Extended) RunAll(maxSize int, opt Options) ([]Row, error) {
-	var rows []Row
-	for _, s := range ex.Sizes {
-		if maxSize > 0 && s > maxSize {
-			continue
-		}
-		r, err := ex.Run(s, opt)
-		if err != nil {
-			return rows, fmt.Errorf("%s %s=%d: %w", ex.ID, ex.SizeLabel, s, err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
 }
 
 // Format renders the measured rows.

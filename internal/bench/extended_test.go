@@ -46,7 +46,7 @@ func TestExtendedRunSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 		size := ex.Sizes[0]
-		row, err := ex.Run(size, Options{Seed: 3})
+		row, err := runCell(ex, size, Options{Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -62,7 +62,7 @@ func TestExtendedRunSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := ex.Run(8, Options{Seed: 3, Warmup: 100, Measure: 300})
+	row, err := runCell(ex, 8, Options{Seed: 3, Warmup: 100, Measure: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,23 @@ func TestExtendedFormat(t *testing.T) {
 	}
 }
 
+// A size bound of 5 keeps only the order-5 cube-connected-cycles cell.
 func TestExtendedRunAllRespectsMax(t *testing.T) {
 	ex, _ := FindExtended("ext-ccc-random-n")
-	rows, err := ex.RunAll(5, Options{Seed: 3})
+	var sizes []int
+	for _, s := range ex.Sizes {
+		if s <= 5 {
+			sizes = append(sizes, s)
+		}
+	}
+	if len(sizes) != 1 || sizes[0] != 5 {
+		t.Fatalf("ext-ccc-random-n sizes up to 5: %v, want [5]", sizes)
+	}
+	row, err := runCell(ex, 5, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Dims != 5 {
-		t.Fatalf("RunAll(5) returned %d rows", len(rows))
+	if row.Dims != 5 || row.Nodes != 5<<5 {
+		t.Fatalf("order-5 cell row: dims %d, nodes %d", row.Dims, row.Nodes)
 	}
 }

@@ -53,9 +53,9 @@ type Config struct {
 	// BuildID overrides the fingerprint build key (tests); default
 	// buildid.ID().
 	BuildID string
-	// Exec overrides the executor (tests). It receives the canonical spec.
-	// The default runs the spec the daemon already compiled, as exec.Run
-	// would.
+	// Exec overrides the executor (tests). It receives the canonical spec
+	// with Workers set to the scheduler's grant. The default runs the spec
+	// the daemon already compiled, as exec.Run would.
 	Exec func(ctx context.Context, s exec.RunSpec, o obs.Observer) (exec.Result, error)
 }
 
@@ -352,23 +352,21 @@ func (s *Server) lead(w http.ResponseWriter, c *exec.Compiled, fp string, fl *fl
 	done := make(chan struct{})
 	var res exec.Result
 	var runErr error
+	// The scheduler's grant is the only worker count a run uses; a
+	// request's own workers field is ignored, since results do not depend
+	// on it and the budget bounds it.
 	task := sweep.Task{
-		Cost:           cost,
-		Parallelizable: c.Parallelizable(),
+		Workers: sweep.WorkersFor(cost, c.Parallelizable(), s.cfg.Budget, s.cfg.Jobs, 0),
 		Run: func(workers int) {
 			defer close(done)
 			if cancel != nil {
 				defer cancel()
 			}
-			run := c
-			if run.Spec().Workers == 0 {
-				run = c.WithWorkers(workers)
-			}
 			var o obs.Observer
 			if prog != nil {
 				o = prog
 			}
-			res, runErr = s.run(runCtx, run, o)
+			res, runErr = s.run(runCtx, c.WithWorkers(workers), o)
 		},
 	}
 	if err := s.sched.TrySubmit(task); err != nil {

@@ -272,6 +272,41 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
+// The scheduler's grant is the only worker count a run uses: a request
+// asking for 64 workers runs on at most the server's budget of 2 — the
+// equal split for an expensive buffered spec, one worker (the sequential
+// Workers 0) for a cheap one.
+func TestRequestWorkersIgnored(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]int{}
+	execFn := func(_ context.Context, s exec.RunSpec, _ obs.Observer) (exec.Result, error) {
+		mu.Lock()
+		seen[s.Topology] = s.Workers
+		mu.Unlock()
+		return exec.Result{V: 1, Spec: s}, nil
+	}
+	_, hs := newTestServer(t, Config{Budget: 2, Exec: execFn})
+	for _, c := range []struct {
+		spec exec.RunSpec
+		want int
+	}{
+		{exec.RunSpec{Algo: "hypercube-adaptive:4", Seed: 1, Workers: 64}, 0},
+		{exec.RunSpec{Algo: "hypercube-adaptive:10", Inject: "dynamic", Seed: 1, Workers: 64}, 2},
+	} {
+		resp, body := postSpec(t, hs.URL, c.spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", c.spec.Algo, resp.StatusCode, body)
+		}
+		topo := c.spec.Canon().Topology
+		mu.Lock()
+		got, ok := seen[topo]
+		mu.Unlock()
+		if !ok || got != c.want {
+			t.Errorf("%s with workers 64: executor saw workers %d (ran %v), want %d", c.spec.Algo, got, ok, c.want)
+		}
+	}
+}
+
 // Concurrent identical specs are deduplicated in flight: the executor runs
 // once, the followers wait and are marked coalesced.
 func TestSingleflight(t *testing.T) {

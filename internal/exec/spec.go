@@ -94,9 +94,12 @@ type RunSpec struct {
 	// HopBudget bounds fault-misroute detours; 0 selects the plan default.
 	HopBudget int `json:"hop_budget,omitempty"`
 	// Workers shards the buffered engine across goroutines. Results are
-	// bit-identical for any value, so it is excluded from Fingerprint.
-	// The atomic engine is inherently sequential: Validate rejects
-	// Workers > 1 with Engine "atomic" instead of silently ignoring it.
+	// bit-identical for any value — a run whose results would depend on it
+	// (a credited algorithm, whose tie-breaking varies with the worker
+	// count) runs on one worker whatever Workers says — so it is excluded
+	// from Fingerprint. The atomic engine is inherently sequential:
+	// Validate rejects Workers > 1 with Engine "atomic" instead of
+	// silently ignoring it.
 	Workers int `json:"workers,omitempty"`
 	// RebalanceEvery forwards sim.Config.RebalanceEvery (occupancy-weighted
 	// shard re-cuts; results identical either way, excluded from
@@ -427,13 +430,20 @@ func (s RunSpec) Build() (sim.Simulator, error) {
 	return c.build(nil)
 }
 
+// build constructs the engine. A run that is not Parallelizable gets one
+// worker (the engines' sequential path), so its results match the
+// fingerprint, which leaves Workers out.
 func (c *Compiled) build(o simObserver) (sim.Simulator, error) {
+	workers := c.spec.Workers
+	if !c.Parallelizable() {
+		workers = 0
+	}
 	cfg := sim.Config{
 		Algorithm:      c.algo,
 		QueueCap:       c.spec.QueueCap,
 		Policy:         c.policy,
 		Seed:           c.spec.Seed,
-		Workers:        c.spec.Workers,
+		Workers:        workers,
 		RebalanceEvery: c.spec.RebalanceEvery,
 		Faults:         c.faults,
 		HopBudget:      c.spec.HopBudget,
@@ -486,9 +496,10 @@ func (c *Compiled) WithWorkers(n int) *Compiled {
 	return &w
 }
 
-// Cost estimates the run's work in node-cycles for admission control and
-// worker-grant decisions — the RunSpec analogue of the sweep's cell cost
-// model. Only relative accuracy matters.
+// Cost estimates the run's work in node-cycles for admission control, the
+// sweep's longest-first order and worker grants: nodes x window for a
+// dynamic run, nodes x packets x log2(nodes) for a static one. Only relative
+// accuracy matters.
 func (c *Compiled) Cost() float64 {
 	nodes := c.algo.Topology().Nodes()
 	if c.spec.Inject == "dynamic" {
@@ -502,8 +513,9 @@ func (c *Compiled) Cost() float64 {
 }
 
 // Parallelizable reports whether the run's results are invariant under
-// Workers > 1 (credited algorithms and the atomic engine are not), the
-// fact the scheduler needs to decide worker grants.
+// Workers > 1 (credited algorithms and the atomic engine are not). The
+// scheduler grants more than one worker only to such runs, and Run builds
+// any other with one worker.
 func (c *Compiled) Parallelizable() bool {
 	return !c.algo.Props().Credits && c.spec.Engine != "atomic"
 }

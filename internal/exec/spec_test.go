@@ -222,3 +222,25 @@ func TestCostAndParallelizable(t *testing.T) {
 		t.Error("atomic engine must not be parallelizable")
 	}
 }
+
+// A credited run's results depend on the worker count (its tie-breaking
+// varies with the shard layout), so it runs on one worker whatever Workers
+// asks: the metrics under workers 2 equal the sequential run's, which the
+// fingerprint — leaving Workers out — promises.
+func TestCreditedRunIgnoresWorkers(t *testing.T) {
+	s := RunSpec{Algo: "shuffle-adaptive:8", Packets: 8, Seed: 1}
+	seq, err := Run(context.Background(), s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workers = 2
+	for i := 0; i < 3; i++ {
+		par, err := Run(context.Background(), s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Metrics != seq.Metrics {
+			t.Fatalf("workers 2 run %d: metrics differ from workers 0:\n%+v\n%+v", i, par.Metrics, seq.Metrics)
+		}
+	}
+}

@@ -12,30 +12,24 @@ var ErrQueueFull = errors.New("sweep: job queue full")
 // ErrSchedClosed reports a submission to a closed Scheduler.
 var ErrSchedClosed = errors.New("sweep: scheduler closed")
 
-// Task is one unit of work submitted to a Scheduler: a cost estimate (the
-// sweep cell cost model's units, node-cycles), whether its results are
-// invariant under Workers > 1, and the function to run. Run receives the
-// worker grant the scheduler decided for it.
+// Task is one unit of work submitted to a Scheduler: its worker grant, as
+// WorkersFor decides it (the scheduler caps it at its budget), and the
+// function to run. Run receives the worker count to simulate with.
 type Task struct {
-	Cost           float64
-	Parallelizable bool
-	Run            func(workers int)
+	Workers int
+	Run     func(workers int)
 }
 
-// Scheduler is the long-running form of the sweep's admission machinery,
-// built for the daemon's request traffic: where Run schedules a fixed job
-// list LPT-first and exits, the Scheduler accepts tasks forever through a
-// bounded queue, admits them through the same weighted slot pool (at most
-// `jobs` concurrent tasks, worker grants summing to at most `budget`), and
-// grants each the worker count the sweep's split rules would give it.
-// Submission order is service order (no LPT re-sort: a service must not
-// starve cheap requests behind expensive ones).
+// Scheduler admits tasks through a weighted slot pool: at most `jobs`
+// concurrent tasks, whose worker grants sum to at most `budget`. Tasks
+// start in submission order. The sweep submits its cells longest-first and
+// closes the scheduler to wait for them; the daemon submits requests as
+// they arrive, behind a bounded queue, so cheap requests never starve
+// behind expensive ones.
 type Scheduler struct {
-	pool      *slotPool
-	tasks     chan Task
-	jobs      int
-	budget    int
-	smallCost float64
+	pool   *slotPool
+	tasks  chan Task
+	budget int
 
 	mu     sync.Mutex
 	closed bool
@@ -59,37 +53,20 @@ func NewScheduler(jobs, budget, queueCap int) *Scheduler {
 		queueCap = 0
 	}
 	s := &Scheduler{
-		pool:      newSlotPool(jobs, budget),
-		tasks:     make(chan Task, queueCap),
-		jobs:      jobs,
-		budget:    budget,
-		smallCost: DefaultSmallCost,
+		pool:   newSlotPool(jobs, budget),
+		tasks:  make(chan Task, queueCap),
+		budget: budget,
 	}
 	s.loopWg.Add(1)
 	go s.dispatch()
 	return s
 }
 
-// grant decides a task's worker count: the online analogue of WorkersFor.
-// Cheap or worker-sensitive tasks run sequentially; the rest receive an
-// equal split of the budget across slots (no cost-proportional widening —
-// an online scheduler cannot know the queue's future cost distribution).
-func (s *Scheduler) grant(t Task) int {
-	if !t.Parallelizable || s.budget <= 1 || t.Cost < s.smallCost {
-		return 1
-	}
-	w := s.budget / s.jobs
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // dispatch admits queued tasks through the slot pool, in submission order.
 func (s *Scheduler) dispatch() {
 	defer s.loopWg.Done()
 	for t := range s.tasks {
-		w := s.grant(t)
+		w := min(max(t.Workers, 1), s.budget)
 		if !s.pool.acquire(w) {
 			return // pool closed: drop remaining queued tasks
 		}

@@ -14,7 +14,7 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
-		err := s.TrySubmit(Task{Cost: 1, Run: func(int) {
+		err := s.TrySubmit(Task{Run: func(int) {
 			n.Add(1)
 			wg.Done()
 		}})
@@ -29,33 +29,32 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	}
 }
 
-// Cheap or worker-sensitive tasks run sequentially (workers 0); expensive
-// parallelizable tasks get an equal split of the budget.
+// A task runs on the grant it was submitted with: WorkersFor with maxCost
+// 0, as the daemon asks it, gives cheap or worker-sensitive tasks one
+// worker, which runs sequentially (workers 0), and expensive
+// parallelizable tasks an equal split of the budget. A grant beyond the
+// budget is capped at it.
 func TestSchedulerWorkerGrants(t *testing.T) {
 	s := NewScheduler(2, 8, 8)
 	defer s.Close()
-	grant := func(task Task) int {
+	run := func(grant int) int {
 		ch := make(chan int, 1)
-		run := task.Run
-		task.Run = func(w int) {
-			if run != nil {
-				run(w)
-			}
-			ch <- w
-		}
-		if err := s.TrySubmit(task); err != nil {
+		if err := s.TrySubmit(Task{Workers: grant, Run: func(w int) { ch <- w }}); err != nil {
 			t.Fatal(err)
 		}
 		return <-ch
 	}
-	if w := grant(Task{Cost: DefaultSmallCost * 2, Parallelizable: true}); w != 4 {
+	if w := run(WorkersFor(smallCost*2, true, 8, 2, 0)); w != 4 {
 		t.Errorf("expensive parallelizable task got %d workers, want 8/2=4", w)
 	}
-	if w := grant(Task{Cost: DefaultSmallCost * 2, Parallelizable: false}); w != 0 {
+	if w := run(WorkersFor(smallCost*2, false, 8, 2, 0)); w != 0 {
 		t.Errorf("non-parallelizable task got workers=%d, want 0 (sequential)", w)
 	}
-	if w := grant(Task{Cost: 1, Parallelizable: true}); w != 0 {
+	if w := run(WorkersFor(1, true, 8, 2, 0)); w != 0 {
 		t.Errorf("cheap task got workers=%d, want 0 (sequential)", w)
+	}
+	if w := run(64); w != 8 {
+		t.Errorf("grant of 64 ran on %d workers, want the budget 8", w)
 	}
 }
 

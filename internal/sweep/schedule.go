@@ -1,16 +1,15 @@
 package sweep
 
 import (
-	"context"
 	"math"
 	"sort"
 	"sync"
 )
 
-// DefaultSmallCost is the cost (estimated node-cycles) below which a cell
-// runs with a single worker: per-cycle barrier overhead beats the shard
+// smallCost is the cost (estimated node-cycles) below which a task runs
+// on a single worker: per-cycle barrier overhead beats the shard
 // parallelism on small networks and short drains.
-const DefaultSmallCost = 1 << 20
+const smallCost = 1 << 20
 
 // LPTOrder returns the indices of pending ordered longest-processing-time
 // first: descending cost, ties broken by ascending Seq. Starting the most
@@ -29,19 +28,22 @@ func LPTOrder(jobs []Job, pending []int) []int {
 	return order
 }
 
-// WorkersFor splits the global worker budget between concurrent cells and
-// per-simulation parallelism. Cheap cells (below smallCost) and cells whose
-// results are not worker-invariant run sequentially; the rest receive a
-// share of the budget proportional to their cost, floored at budget/slots,
-// so the dominant cells (the n=14 dynamic runs) widen toward the whole
-// machine instead of serializing the sweep tail on one worker.
-func WorkersFor(job Job, budget, slots int, smallCost, maxCost float64) int {
-	if !job.Parallelizable || budget <= 1 || job.Cost < smallCost {
+// WorkersFor is the worker grant of a task of the given cost under a
+// budget shared by `slots` concurrent tasks. Cheap tasks (below
+// smallCost) and tasks whose results are not worker-invariant run
+// on one worker; the rest receive a share of the budget proportional to
+// their cost against maxCost, floored at budget/slots, so the dominant
+// cells of a sweep (the n=14 dynamic runs) widen toward the whole machine
+// instead of serializing the sweep tail on one worker. maxCost 0 — the
+// daemon's case, which cannot know the costs still to come — gives every
+// task the equal split budget/slots.
+func WorkersFor(cost float64, parallelizable bool, budget, slots int, maxCost float64) int {
+	if !parallelizable || budget <= 1 || cost < smallCost {
 		return 1
 	}
 	w := 1
 	if maxCost > 0 {
-		w = int(math.Round(float64(budget) * job.Cost / maxCost))
+		w = int(math.Round(float64(budget) * cost / maxCost))
 	}
 	if base := budget / slots; w < base {
 		w = base
@@ -57,8 +59,9 @@ func WorkersFor(job Job, budget, slots int, smallCost, maxCost float64) int {
 
 // slotPool is a weighted admission gate: at most `jobs` cells run at once,
 // and their worker grants sum to at most `budget`. Acquire blocks until
-// both constraints admit the request; the dispatcher acquires in LPT order,
-// so admission order is deterministic even though completion order is not.
+// both constraints admit the request; the Scheduler acquires in submission
+// order, so admission order is deterministic even though completion order
+// is not.
 type slotPool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -105,18 +108,4 @@ func (p *slotPool) close() {
 	p.closed = true
 	p.mu.Unlock()
 	p.cond.Broadcast()
-}
-
-// closeOnDone closes the pool when ctx is canceled, unblocking the
-// dispatcher; the returned stop func releases the watcher goroutine.
-func (p *slotPool) closeOnDone(ctx context.Context) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.close()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
 }

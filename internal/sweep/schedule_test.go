@@ -38,24 +38,27 @@ func TestLPTOrderSubset(t *testing.T) {
 }
 
 func TestWorkersFor(t *testing.T) {
-	big := float64(DefaultSmallCost) * 4
+	big := float64(smallCost) * 4
 	cases := []struct {
-		name               string
-		job                Job
-		budget, slots      int
-		smallCost, maxCost float64
-		want               int
+		name          string
+		cost          float64
+		par           bool
+		budget, slots int
+		maxCost       float64
+		want          int
 	}{
-		{"not parallelizable", Job{Parallelizable: false, Cost: big}, 8, 2, DefaultSmallCost, big, 1},
-		{"budget one", Job{Parallelizable: true, Cost: big}, 1, 2, DefaultSmallCost, big, 1},
-		{"below small cost", Job{Parallelizable: true, Cost: 100}, 8, 2, DefaultSmallCost, big, 1},
-		{"dominant cell gets full budget", Job{Parallelizable: true, Cost: big}, 8, 2, DefaultSmallCost, big, 8},
-		{"half-cost cell gets half", Job{Parallelizable: true, Cost: big / 2}, 8, 2, DefaultSmallCost, big, 4},
-		{"floor at budget/slots", Job{Parallelizable: true, Cost: big / 1000}, 8, 2, 0, big, 4},
-		{"never exceeds budget", Job{Parallelizable: true, Cost: big}, 3, 1, DefaultSmallCost, big / 2, 3},
+		{"not parallelizable", big, false, 8, 2, big, 1},
+		{"budget one", big, true, 1, 2, big, 1},
+		{"below small cost", 100, true, 8, 2, big, 1},
+		{"dominant cell gets full budget", big, true, 8, 2, big, 8},
+		{"half-cost cell gets half", big / 2, true, 8, 2, big, 4},
+		{"floor at budget/slots", smallCost, true, 8, 2, big * 100, 4},
+		{"never exceeds budget", big, true, 3, 1, big / 2, 3},
+		{"maxCost 0 splits equally", big, true, 8, 2, 0, 4},
+		{"maxCost 0 floors at one", big, true, 3, 4, 0, 1},
 	}
 	for _, c := range cases {
-		if got := WorkersFor(c.job, c.budget, c.slots, c.smallCost, c.maxCost); got != c.want {
+		if got := WorkersFor(c.cost, c.par, c.budget, c.slots, c.maxCost); got != c.want {
 			t.Errorf("%s: WorkersFor = %d, want %d", c.name, got, c.want)
 		}
 	}

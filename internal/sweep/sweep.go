@@ -1,19 +1,23 @@
-// Package sweep is the parallel orchestrator behind cmd/tables: it turns
-// the paper's evaluation (bench.Tables, bench.ExtendedSuite) into a flat
-// list of independent (experiment, size) cells with per-cell cost
-// estimates, schedules them longest-processing-time-first onto a bounded
-// slot pool that splits a global worker budget between concurrent cells
-// and per-simulation Workers. Every cell is one exec.RunSpec; with a result
-// store configured, each completed cell is stored under the spec's
-// fingerprint — the key and blob routesimd uses — so a killed sweep resumes
-// instead of restarting, and sweep and daemon share one cache.
+// Package sweep is the parallel orchestrator behind cmd/tables and the
+// scheduler behind routesimd. BuildJobs turns the paper's evaluation
+// (bench.Tables, bench.ExtendedSuite) into a flat list of independent
+// (experiment, size) cells, each an exec.RunSpec compiled once, with its
+// cost and parallelism taken from the compiled spec. Run submits the
+// pending cells longest-processing-time-first to a Scheduler, the same one
+// the daemon feeds in arrival order: a bounded slot pool that splits a
+// global worker budget between concurrent tasks and per-simulation
+// Workers, with WorkersFor deciding every grant. With a result store
+// configured, each completed cell is stored under the spec's fingerprint —
+// the key and blob routesimd uses — so a killed sweep resumes instead of
+// restarting, and sweep and daemon share one cache.
 //
 // Determinism: every cell is an independent, bit-deterministic simulation
-// whose results do not depend on the Workers count (credited algorithms,
-// the exception, are pinned to one worker), and merged results are ordered
-// by the cells' canonical sequence — so the sweep's output is bit-identical
-// regardless of the concurrency level, scheduling interleaving, or a
-// kill/resume cycle in the middle.
+// whose results do not depend on the Workers count (credited algorithms
+// and the atomic engine, the exceptions, run on one worker whatever the
+// grant or -workers asks), and merged results are ordered by the cells'
+// canonical sequence — so the sweep's output is bit-identical regardless of
+// the concurrency level, scheduling interleaving, or a kill/resume cycle
+// in the middle.
 package sweep
 
 import (
@@ -39,31 +43,32 @@ const (
 	SuiteAll      = "all"
 )
 
-// Job is one schedulable cell of a sweep: a single (experiment, size) row.
+// Job is one schedulable cell of a sweep: a single (experiment, size) row,
+// compiled once. A job list may be run any number of times.
 type Job struct {
 	ID    string // "table9/n12", "ext-mesh-random-n/side16"
 	Suite string // SuitePaper or SuiteExtended
 	Exp   string // experiment id within the suite
 	Size  int    // hypercube dimension, or the topology's size parameter
 	Seq   int    // canonical output position (the sequential run's order)
-	Nodes int
-	// Cost estimates the cell's work in node-cycles: nodes x window for
-	// dynamic cells, total minimal hop work for static ones. It drives the
-	// LPT schedule, the worker split, and the progress ETA — only relative
-	// accuracy matters.
+	// Cost is the cell's estimated work in node-cycles
+	// (exec.Compiled.Cost). It drives the LPT schedule, the worker split,
+	// and the progress ETA — only relative accuracy matters.
 	Cost float64
 	// Parallelizable cells may be granted Workers > 1: their results are
-	// invariant under the worker count and the engine honors it.
+	// invariant under the worker count (exec.Compiled.Parallelizable).
 	Parallelizable bool
+
+	ex experiment
+	c  *exec.Compiled
 }
 
 // BuildJobs flattens the selected experiments into the sweep's job list, in
-// canonical (sequential-output) order. table, when non-empty, selects one
-// experiment by id and overrides suite; maxN bounds the hypercube dimension
-// of paper cells (0 = all) and is ignored for extended cells, matching the
-// sequential path.
+// canonical (sequential-output) order, compiling each cell's RunSpec.
+// table, when non-empty, selects one experiment by id and overrides suite;
+// maxN bounds the hypercube dimension of paper cells (0 = all) and is
+// ignored for extended cells, matching the sequential path.
 func BuildJobs(suite, table string, maxN int, opt bench.Options) ([]Job, error) {
-	opt = opt.Filled()
 	var paper []bench.Experiment
 	var ext []bench.Extended
 	switch {
@@ -87,63 +92,40 @@ func BuildJobs(suite, table string, maxN int, opt bench.Options) ([]Job, error) 
 	}
 
 	var jobs []Job
+	add := func(id, suite, exp string, size int, ex experiment) error {
+		spec, err := ex.Spec(size, opt)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		c, err := spec.Compile()
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		jobs = append(jobs, Job{
+			ID: id, Suite: suite, Exp: exp, Size: size, Seq: len(jobs),
+			Cost: c.Cost(), Parallelizable: c.Parallelizable(),
+			ex: ex, c: c,
+		})
+		return nil
+	}
 	for _, ex := range paper {
 		for _, d := range ex.Dims() {
 			if maxN > 0 && d > maxN {
 				continue
 			}
-			nodes, par, err := ex.Cell(d, opt)
-			if err != nil {
+			if err := add(fmt.Sprintf("%s/n%d", ex.ID, d), SuitePaper, ex.ID, d, ex); err != nil {
 				return nil, err
 			}
-			perNode := 1
-			if ex.Injection == bench.StaticN {
-				perNode = d
-			}
-			jobs = append(jobs, Job{
-				ID:    fmt.Sprintf("%s/n%d", ex.ID, d),
-				Suite: SuitePaper, Exp: ex.ID, Size: d, Seq: len(jobs),
-				Nodes:          nodes,
-				Cost:           cellCost(ex.Injection, nodes, perNode, d, opt),
-				Parallelizable: par,
-			})
 		}
 	}
 	for _, ex := range ext {
 		for _, s := range ex.Sizes {
-			nodes, par, err := ex.Cell(s, opt)
-			if err != nil {
+			if err := add(fmt.Sprintf("%s/%s%d", ex.ID, ex.SizeLabel, s), SuiteExtended, ex.ID, s, ex); err != nil {
 				return nil, err
 			}
-			perNode := 1
-			if ex.Injection == bench.StaticN {
-				perNode = ex.PacketsPerNode(s)
-			}
-			jobs = append(jobs, Job{
-				ID:    fmt.Sprintf("%s/%s%d", ex.ID, ex.SizeLabel, s),
-				Suite: SuiteExtended, Exp: ex.ID, Size: s, Seq: len(jobs),
-				Nodes:          nodes,
-				Cost:           cellCost(ex.Injection, nodes, perNode, 2*s, opt),
-				Parallelizable: par,
-			})
 		}
 	}
 	return jobs, nil
-}
-
-// cellCost estimates a cell's work in node-cycles. Dynamic cells simulate
-// exactly warmup+measure cycles over all nodes; static cells drain, so
-// their work tracks the total minimal hop count (packets x diameter)
-// rather than the cycle count — calibrated against the recorded sequential
-// sweep, where the dynamic cells dominate by two orders of magnitude.
-func cellCost(inj bench.InjectionKind, nodes, perNode, diam int, opt bench.Options) float64 {
-	if inj == bench.Dynamic {
-		return float64(nodes) * float64(opt.Warmup+opt.Measure)
-	}
-	if diam < 1 {
-		diam = 1
-	}
-	return float64(nodes) * float64(perNode) * float64(diam)
 }
 
 // Result is one completed cell, in canonical order in Run's result slice.
@@ -163,8 +145,10 @@ var ErrStopped = errors.New("sweep: stopped after requested number of cells")
 type Options struct {
 	Jobs   int // concurrent cells (default 1)
 	Budget int // total worker budget across concurrent cells (default GOMAXPROCS)
-	// FixedWorkers forces every cell to this Workers value (the -workers
-	// flag); 0 lets the scheduler split Budget cost-aware per cell.
+	// FixedWorkers runs every parallelizable cell on this many workers
+	// (the -workers flag, capped at Budget); 0 lets WorkersFor split Budget
+	// by cost. Cells whose results depend on the worker count run on one
+	// worker either way.
 	FixedWorkers int
 	// Store caches cell results under RunSpec.Fingerprint (nil = no
 	// caching): a cell already stored is served from it, and every
@@ -177,7 +161,6 @@ type Options struct {
 	// "kill" half of the kill/resume tests and CI smoke job.
 	StopAfter int
 	Sink      obs.SweepSink // progress events (nil = none)
-	SmallCost float64       // cells cheaper than this run sequentially (default DefaultSmallCost)
 }
 
 func (o *Options) fill() {
@@ -187,9 +170,14 @@ func (o *Options) fill() {
 	if o.Budget < 1 {
 		o.Budget = runtime.GOMAXPROCS(0)
 	}
-	if o.SmallCost == 0 {
-		o.SmallCost = DefaultSmallCost
+}
+
+// grant is the worker count of a job under the sweep's options.
+func (o *Options) grant(job Job, maxCost float64) int {
+	if o.FixedWorkers > 0 && job.Parallelizable {
+		return min(o.FixedWorkers, o.Budget)
 	}
+	return WorkersFor(job.Cost, job.Parallelizable, o.Budget, o.Jobs, maxCost)
 }
 
 // experiment is what a sweep needs of a paper table or an extended
@@ -197,24 +185,6 @@ func (o *Options) fill() {
 type experiment interface {
 	Spec(size int, opt bench.Options) (exec.RunSpec, error)
 	Row(size int, m sim.Metrics) bench.Row
-}
-
-// findExperiment resolves a job's experiment.
-func findExperiment(job Job) (experiment, error) {
-	switch job.Suite {
-	case SuitePaper:
-		return bench.FindTable(job.Exp)
-	case SuiteExtended:
-		return bench.FindExtended(job.Exp)
-	}
-	return nil, fmt.Errorf("sweep: unknown suite %q", job.Suite)
-}
-
-// cell is one job resolved to its experiment, RunSpec and store key.
-type cell struct {
-	ex   experiment
-	spec exec.RunSpec
-	fp   string
 }
 
 // cachedResult returns the stored exec.Result under fp, if the store holds
@@ -235,101 +205,73 @@ func cachedResult(st *store.Store, fp string) (exec.Result, bool) {
 }
 
 // Run executes the jobs under the sweep options and returns one Result per
-// job, in the jobs' (canonical) order. On ErrStopped or cancellation the
-// results of unfinished cells are zero; completed cells are already in the
-// result store when one is configured.
+// job, in the jobs' (canonical) order. Each job runs the spec BuildJobs
+// compiled for it from the options it was given, so opt goes unused. The
+// pending cells are submitted longest-first to a Scheduler. On ErrStopped
+// or cancellation the cells that had not started are skipped and their
+// results are zero; completed cells are already in the result store when
+// one is configured.
 func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Result, error) {
 	o.fill()
-	opt = opt.Filled()
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	buildID := bench.BuildID()
 
 	results := make([]Result, len(jobs))
-	cells := make([]cell, len(jobs))
+	fps := make([]string, len(jobs))
 	prog := newProgress(jobs, o.Sink)
 	var pending []int
+	maxCost := 0.0
 	for i, job := range jobs {
-		ex, err := findExperiment(job)
-		if err != nil {
-			return nil, err
-		}
-		spec, err := ex.Spec(job.Size, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", job.ID, err)
-		}
-		cells[i] = cell{ex: ex, spec: spec, fp: spec.Fingerprint(buildID)}
-		if res, ok := cachedResult(o.Store, cells[i].fp); ok {
-			results[i] = Result{Job: job, Row: ex.Row(job.Size, res.Metrics), ElapsedSec: res.ElapsedSec, Cached: true}
+		fps[i] = job.c.Spec().Fingerprint(buildID)
+		if res, ok := cachedResult(o.Store, fps[i]); ok {
+			results[i] = Result{Job: job, Row: job.ex.Row(job.Size, res.Metrics), ElapsedSec: res.ElapsedSec, Cached: true}
 			prog.cached(job)
 			continue
 		}
 		pending = append(pending, i)
-	}
-
-	order := LPTOrder(jobs, pending)
-	maxCost := 0.0
-	for _, i := range pending {
-		if jobs[i].Cost > maxCost {
-			maxCost = jobs[i].Cost
-		}
+		maxCost = max(maxCost, job.Cost)
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pool := newSlotPool(o.Jobs, o.Budget)
-	defer pool.closeOnDone(runCtx)()
+	sched := NewScheduler(o.Jobs, o.Budget, len(pending))
 
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		executed int
 		stopped  bool
 	)
-	for _, idx := range order {
-		job := jobs[idx]
-		w := WorkersFor(job, o.Budget, o.Jobs, o.SmallCost, maxCost)
-		if o.FixedWorkers > 0 {
-			w = o.FixedWorkers
-			if w > o.Budget {
-				w = o.Budget
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil && !errors.Is(err, context.Canceled) {
+			firstErr = err
+		}
+		mu.Unlock()
+		cancel()
+	}
+	for _, idx := range LPTOrder(jobs, pending) {
+		job, w := jobs[idx], o.grant(jobs[idx], maxCost)
+		err := sched.TrySubmit(Task{Workers: w, Run: func(workers int) {
+			if runCtx.Err() != nil {
+				return // stopped or canceled before this cell's turn
 			}
-		}
-		if !pool.acquire(w) {
-			break // sweep canceled or stopped while waiting
-		}
-		wg.Add(1)
-		go func(idx int, job Job, w int) {
-			defer wg.Done()
-			defer pool.release(w)
 			prog.start(job, w)
-			c := cells[idx]
-			// A one-worker grant means "run this cell sequentially": the
-			// engine's plain single-threaded path (Workers 0) computes the
-			// same results as a one-worker pool without the pool overhead.
-			c.spec.Workers = w
-			if w == 1 {
-				c.spec.Workers = 0
-			}
 			t0 := time.Now()
-			res, err := exec.Run(runCtx, c.spec, nil)
+			res, err := job.c.WithWorkers(workers).Run(runCtx, nil)
 			elapsed := time.Since(t0).Seconds()
 			if err == nil && o.Store != nil {
-				err = putResult(o.Store, c.fp, res)
+				err = putResult(o.Store, fps[idx], res)
+			}
+			if err != nil {
+				fail(fmt.Errorf("%s: %w", job.ID, err))
+				return
 			}
 
 			mu.Lock()
-			if err != nil {
-				if firstErr == nil && !errors.Is(err, context.Canceled) {
-					firstErr = fmt.Errorf("%s: %w", job.ID, err)
-				}
-				mu.Unlock()
-				cancel()
-				return
-			}
-			results[idx] = Result{Job: job, Row: c.ex.Row(job.Size, res.Metrics), ElapsedSec: elapsed}
+			results[idx] = Result{Job: job, Row: job.ex.Row(job.Size, res.Metrics), ElapsedSec: elapsed}
 			executed++
 			stopNow := o.StopAfter > 0 && executed >= o.StopAfter && !stopped
 			if stopNow {
@@ -340,9 +282,13 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 			if stopNow {
 				cancel()
 			}
-		}(idx, job, w)
+		}})
+		if err != nil { // the queue holds every pending cell; never full
+			fail(err)
+			break
+		}
 	}
-	wg.Wait()
+	sched.Close()
 
 	switch {
 	case firstErr != nil:

@@ -5,16 +5,20 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
 // testOptions keeps the simulated windows short: the determinism claims
 // under test do not depend on the window length.
 func testOptions() bench.Options {
-	return bench.Options{Seed: 1, Warmup: 50, Measure: 100}.Filled()
+	return bench.Options{Seed: 1, Warmup: 50, Measure: 100}
 }
 
 func testJobs(t *testing.T, opt bench.Options) []Job {
@@ -83,12 +87,15 @@ func TestSweepStopAndResume(t *testing.T) {
 
 	const stopAfter = 4
 	st := openStore(t, path)
+	events := &eventLog{}
+	goroutines := runtime.NumGoroutine()
 	_, err = Run(context.Background(), jobs, opt, Options{
-		Jobs: 2, Budget: 2, Store: st, StopAfter: stopAfter,
+		Jobs: 2, Budget: 2, Store: st, StopAfter: stopAfter, Sink: events,
 	})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("stop-after run returned %v, want ErrStopped", err)
 	}
+	checkCutShort(t, jobs, events, st, 2, goroutines)
 	st.Close()
 
 	// Resume from a fresh process's view: reopen the file, replaying it.
@@ -168,11 +175,15 @@ func TestSweepStoreKeysTraffic(t *testing.T) {
 	}
 
 	paper := testOptions()
-	got, err := Run(context.Background(), jobs, paper, Options{Jobs: 1, Store: st})
+	paperJobs, err := BuildJobs(SuitePaper, "table9", 10, paper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Run(context.Background(), jobs, paper, Options{Jobs: 1})
+	got, err := Run(context.Background(), paperJobs, paper, Options{Jobs: 1, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(context.Background(), paperJobs, paper, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +197,93 @@ func TestSweepStoreKeysTraffic(t *testing.T) {
 	}
 }
 
-// Cancellation must surface as a context error, not hang or a corrupt merge.
+// Cancellation must surface as a context error, not hang or a corrupt
+// merge, whether it comes before the first cell or after one completed.
 func TestSweepCancel(t *testing.T) {
 	opt := testOptions()
 	jobs := testJobs(t, opt)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Run(ctx, jobs, opt, Options{Jobs: 2, Budget: 2})
-	if err == nil {
-		t.Fatal("canceled sweep returned nil error")
+	for _, tc := range []struct {
+		name   string
+		before bool // cancel before Run, or when the first cell completes
+	}{
+		{"before-start", true},
+		{"after-first-cell", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			events := &eventLog{}
+			if tc.before {
+				cancel()
+			} else {
+				events.onDone = cancel
+			}
+			st := openStore(t, "")
+			goroutines := runtime.NumGoroutine()
+			_, err := Run(ctx, jobs, opt, Options{Jobs: 2, Budget: 2, Store: st, Sink: events})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled sweep returned %v, want context.Canceled", err)
+			}
+			checkCutShort(t, jobs, events, st, 2, goroutines)
+			if tc.before && len(events.starts) != 0 {
+				t.Errorf("sweep canceled before it began started %d cells", len(events.starts))
+			}
+		})
+	}
+}
+
+// eventLog records which cells a sweep started and completed.
+type eventLog struct {
+	mu            sync.Mutex
+	starts, dones map[string]bool
+	onDone        func() // called on the first completed cell
+}
+
+func (l *eventLog) OnSweepEvent(ev obs.SweepEvent) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.starts == nil {
+		l.starts, l.dones = map[string]bool{}, map[string]bool{}
+	}
+	switch ev.Kind {
+	case obs.SweepJobStart:
+		l.starts[ev.Job] = true
+	case obs.SweepJobDone:
+		l.dones[ev.Job] = true
+		if l.onDone != nil {
+			l.onDone()
+			l.onDone = nil
+		}
+	}
+}
+
+// checkCutShort checks what a stopped or canceled sweep leaves behind: its
+// scheduler's goroutines are gone, no cell that never ran was reported
+// started (only the cells cut off mid-run by the stop, at most slots-1,
+// started without completing), and the store holds exactly the completed
+// cells.
+func checkCutShort(t *testing.T, jobs []Job, events *eventLog, st *store.Store, slots, goroutines int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines left running, %d before the sweep", runtime.NumGoroutine(), goroutines)
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	events.mu.Lock()
+	defer events.mu.Unlock()
+	if cut := len(events.starts) - len(events.dones); cut > slots-1 {
+		t.Errorf("%d cells started but did not complete; at most %d can be cut off mid-run", cut, slots-1)
+	}
+	for _, j := range jobs {
+		_, stored := st.Get(j.c.Spec().Fingerprint(bench.BuildID()))
+		if done := events.dones[j.ID]; stored != done {
+			t.Errorf("%s: stored %v, completed %v", j.ID, stored, done)
+		}
+		if events.dones[j.ID] && !events.starts[j.ID] {
+			t.Errorf("%s: completed without a start event", j.ID)
+		}
 	}
 }
 
@@ -215,9 +304,6 @@ func TestBuildJobsShape(t *testing.T) {
 		seen[j.ID] = true
 		if j.Cost <= 0 {
 			t.Errorf("%s: non-positive cost %f", j.ID, j.Cost)
-		}
-		if j.Nodes <= 0 {
-			t.Errorf("%s: non-positive nodes %d", j.ID, j.Nodes)
 		}
 	}
 	// The credited shuffle-exchange cells must be pinned to one worker:
