@@ -1,6 +1,10 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/topology"
+)
 
 // RouteTableFullNodes is the route-table memory tier threshold: networks
 // with at most this many nodes get the full destination-major n*n uint32
@@ -30,6 +34,15 @@ type RouteTableRouter interface {
 // adjacency, so it is computed once here and the hot path is a single
 // load. Rows are destination-major (all nodes' masks for one destination
 // contiguous) because that is the unit the lazy tier builds.
+//
+// A row is filled from the distances of every node toward its destination,
+// read as one contiguous n-entry row that stays in L1 while the fill
+// streams the flat adjacency — not as a column of the source-major
+// distance table, whose n-entry stride would touch a new cache line per
+// node and per port. On a symmetric network (every link has a reverse, as
+// in every generated family) the distance table's own row dst is that
+// row; otherwise a reverse BFS toward dst computes it into scratch, so no
+// second n*n table is kept.
 type routeTable struct {
 	n     int
 	ports int
@@ -44,16 +57,23 @@ type routeTable struct {
 	// bit-deterministic. After a destination's first use the path is
 	// allocation-free, like the full tier.
 	rows []atomic.Pointer[[]uint32]
+	// rev searches reversed links for the distances toward a destination;
+	// nil on a symmetric network, where row dst of dist holds them.
+	rev *topology.BFS
 }
 
 // newRouteTable compiles the mask table over the given flat adjacency and
 // distance tables, choosing the tier by fullLimit.
 func newRouteTable(nbr []int32, dist []int16, n, ports, fullLimit int) *routeTable {
 	t := &routeTable{n: n, ports: ports, nbr: nbr, dist: dist}
+	if !topology.Symmetric(nbr, n, ports) {
+		t.rev = topology.NewBFS(nbr, n, ports)
+	}
 	if n <= fullLimit {
 		t.full = make([]uint32, n*n)
+		var s towardScratch
 		for dst := 0; dst < n; dst++ {
-			t.fillRow(dst, t.full[dst*n:(dst+1)*n])
+			t.fillRow(dst, t.full[dst*n:(dst+1)*n], &s)
 		}
 	} else {
 		t.rows = make([]atomic.Pointer[[]uint32], n)
@@ -61,15 +81,34 @@ func newRouteTable(nbr []int32, dist []int16, n, ports, fullLimit int) *routeTab
 	return t
 }
 
+// towardScratch is the reverse search's scratch, allocated on first use.
+type towardScratch struct {
+	row   []int16
+	queue []int32
+}
+
+// toward returns the distances of every node to dst.
+func (t *routeTable) toward(dst int, s *towardScratch) []int16 {
+	if t.rev == nil {
+		return t.dist[dst*t.n : (dst+1)*t.n]
+	}
+	if s.row == nil {
+		s.row, s.queue = make([]int16, t.n), make([]int32, 0, t.n)
+	}
+	t.rev.To(dst, s.row, s.queue)
+	return s.row
+}
+
 // fillRow computes the masks of every node toward one destination: bit p
 // of row[u] is set iff port p of u leads one hop closer to dst. The
 // destination's own row entry stays 0 (delivery is not a port move).
-func (t *routeTable) fillRow(dst int, row []uint32) {
-	for u := 0; u < t.n; u++ {
-		closer := int16(t.dist[u*t.n+dst]) - 1
+func (t *routeTable) fillRow(dst int, row []uint32, s *towardScratch) {
+	toward := t.toward(dst, s)
+	for u := range row {
+		closer := toward[u] - 1
 		m := uint32(0)
-		for p := 0; p < t.ports; p++ {
-			if v := t.nbr[u*t.ports+p]; v >= 0 && t.dist[int(v)*t.n+dst] == closer {
+		for p, v := range t.nbr[u*t.ports : (u+1)*t.ports] {
+			if v >= 0 && toward[v] == closer {
 				m |= 1 << uint(p)
 			}
 		}
@@ -92,7 +131,7 @@ func (t *routeTable) mask(node, dst int32) uint32 {
 // inlines. See routeTable.rows for why the build race is benign.
 func (t *routeTable) buildRow(dst int32) []uint32 {
 	row := make([]uint32, t.n)
-	t.fillRow(int(dst), row)
+	t.fillRow(int(dst), row, &towardScratch{})
 	t.rows[dst].CompareAndSwap(nil, &row)
 	return *t.rows[dst].Load()
 }

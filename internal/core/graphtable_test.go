@@ -183,3 +183,29 @@ func TestRouteTableScanOnlyInstances(t *testing.T) {
 		t.Fatalf("WithoutRouteTable on a scan-only instance built a new value")
 	}
 }
+
+// BenchmarkGraphSetup times the two layers of generated-network set-up on
+// the dragonfly the repo benchmark's graph workload runs (1953 routers):
+// building the topology, whose cost is the all-pairs BFS, and compiling
+// graph-adaptive's full route table over it.
+func BenchmarkGraphSetup(b *testing.B) {
+	b.Run("topology=dragonfly:a=31,g=63", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := topology.NewDragonfly(31, 63); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("routetable=dragonfly:a=31,g=63", func(b *testing.B) {
+		g, err := topology.NewDragonfly(31, 63)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.NewGraphAdaptive(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

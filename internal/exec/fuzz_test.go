@@ -41,7 +41,7 @@ var fuzzSeeds = []string{
 	`{"algo":"hypercube-adaptive:4","faults":"link:1:2"}`,
 }
 
-// FuzzRunSpec feeds RunSpec JSON through Canon, Check, Validate and
+// FuzzRunSpec feeds RunSpec JSON through Canon, Check, Validate, Source and
 // Fingerprint, and checks the properties the daemon's store-hit path rests
 // on. workers, v and twist perturb the fields the fingerprint does not key,
 // making a twin of the decoded spec.
@@ -100,12 +100,18 @@ func FuzzRunSpec(f *testing.F) {
 }
 
 // checkAgrees checks that a failing Check reports Validate's error, and
-// returns Validate's error.
+// that Source, which skips the route table, fails with Validate's error
+// whenever Validate fails. It returns Validate's error.
 func checkAgrees(t *testing.T, s RunSpec) error {
 	t.Helper()
 	verr := s.Validate()
 	if cerr := s.Check(); cerr != nil && (verr == nil || cerr.Error() != verr.Error()) {
 		t.Fatalf("%+v: Check says %v, Validate says %v", s, cerr, verr)
+	}
+	if verr != nil {
+		if _, _, serr := s.Source(); serr == nil || serr.Error() != verr.Error() {
+			t.Fatalf("%+v: Source says %v, Validate says %v", s, serr, verr)
+		}
 	}
 	return verr
 }

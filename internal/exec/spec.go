@@ -222,7 +222,7 @@ func (s RunSpec) Check() error {
 		return err
 	}
 	if err := c.checkTail(); err != nil {
-		if cerr := c.construct(s.Topology == ""); cerr != nil {
+		if cerr := c.construct(s.Topology == "", false); cerr != nil {
 			return cerr
 		}
 		return err
@@ -246,10 +246,16 @@ type Compiled struct {
 
 // Compile validates the spec and builds its network, algorithm and
 // pattern. The error is Validate's.
-func (s RunSpec) Compile() (*Compiled, error) {
+func (s RunSpec) Compile() (*Compiled, error) { return s.compile(true) }
+
+// compile is Compile; routeTable false builds a graph-adaptive algorithm on
+// its scan path, skipping the route table, for callers that read only the
+// network and the pattern. The table never fails to compile, so the error
+// is the same either way.
+func (s RunSpec) compile(routeTable bool) (*Compiled, error) {
 	c, err := s.checkHead()
 	if err == nil {
-		err = c.construct(s.Topology == "")
+		err = c.construct(s.Topology == "", routeTable)
 	}
 	if err == nil {
 		err = c.checkTail()
@@ -289,8 +295,9 @@ func (s RunSpec) checkHead() (*Compiled, error) {
 
 // construct builds the network, algorithm and pattern. impliedTopology
 // reports that the caller wrote no topology field, so a bad topology came
-// through the combined algo field and is blamed on it.
-func (c *Compiled) construct(impliedTopology bool) error {
+// through the combined algo field and is blamed on it. routeTable selects
+// whether a graph-adaptive algorithm compiles its route table.
+func (c *Compiled) construct(impliedTopology, routeTable bool) error {
 	topo, err := spec.Topology(c.spec.Topology)
 	if err != nil {
 		field := "topology"
@@ -299,7 +306,11 @@ func (c *Compiled) construct(impliedTopology bool) error {
 		}
 		return &FieldError{Field: field, Err: err}
 	}
-	algo, err := spec.AlgorithmOn(c.family, topo)
+	var opts []core.GraphOption
+	if !routeTable {
+		opts = append(opts, core.GraphWithoutRouteTable())
+	}
+	algo, err := spec.AlgorithmOn(c.family, topo, opts...)
 	if err != nil {
 		return &FieldError{Field: "algo", Err: err}
 	}
@@ -455,9 +466,11 @@ func (c *Compiled) build(o simObserver) (sim.Simulator, error) {
 }
 
 // Source validates the spec and constructs its traffic source and run
-// plan, the counterpart of Build.
+// plan, the counterpart of Build. A source reads only the network's size
+// and the pattern, so Source compiles no route table; its error is still
+// Validate's.
 func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
-	c, err := s.Compile()
+	c, err := s.compile(false)
 	if err != nil {
 		return nil, sim.Plan{}, err
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -179,5 +180,33 @@ func TestValidateTrafficField(t *testing.T) {
 	malformed := RunSpec{Algo: "hypercube-adaptive:4", Inject: "dynamic", Traffic: "mmpp:on=2"}
 	if err := malformed.Validate(); !errors.As(err, &fe) || fe.Field != "traffic" {
 		t.Errorf("malformed mmpp: %v", err)
+	}
+}
+
+// Source reads only the network's size and the pattern, so on a generated
+// graph it compiles no route table: it allocates less than the table alone
+// (n*n uint32 masks), which a Source that compiled the spec would build on
+// top of the topology's distance table.
+func TestSourceCompilesNoRouteTable(t *testing.T) {
+	const n = 1953 // dragonfly a=31, g=63: g*a routers
+	spec := RunSpec{Algo: "graph-adaptive", Topology: "graph:dragonfly:a=31,g=63", Engine: "atomic",
+		Inject: "dynamic", Lambda: 0.4, Warmup: 10, Measure: 10, Seed: 1}
+	tableBytes := uint64(n * n * 4)
+	source := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, _, err := spec.Source(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	best := source()
+	for i := 0; i < 2; i++ {
+		best = min(best, source())
+	}
+	if best >= tableBytes {
+		t.Fatalf("Source allocated %d B, at least the %d B route table: it compiled the table", best, tableBytes)
 	}
 }

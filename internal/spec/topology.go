@@ -264,14 +264,15 @@ func JoinAlgo(family, topoSpec string) (string, bool) {
 // AlgorithmOn builds the routing algorithm of a bare family over an
 // already-constructed topology — the v2 path, in which the network comes
 // from Topology and the algo field carries no size. The topology must be of
-// the family's kind (graph-adaptive runs on anything).
-func AlgorithmOn(family string, t topology.Topology) (core.Algorithm, error) {
+// the family's kind (graph-adaptive runs on anything). opts tune
+// graph-adaptive's route-table compilation; the other families ignore them.
+func AlgorithmOn(family string, t topology.Topology, opts ...core.GraphOption) (core.Algorithm, error) {
 	mismatch := func() error {
 		return badSpec(family, "algorithm cannot run on topology %s", t.Name())
 	}
 	switch family {
 	case "graph-adaptive":
-		a, err := core.NewGraphAdaptive(t)
+		a, err := core.NewGraphAdaptive(t, opts...)
 		if err != nil {
 			return nil, &ParseError{Spec: family, Reason: err.Error()}
 		}

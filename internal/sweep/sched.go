@@ -67,9 +67,7 @@ func (s *Scheduler) dispatch() {
 	defer s.loopWg.Done()
 	for t := range s.tasks {
 		w := min(max(t.Workers, 1), s.budget)
-		if !s.pool.acquire(w) {
-			return // pool closed: drop remaining queued tasks
-		}
+		s.pool.acquire(w)
 		s.wg.Add(1)
 		go func(t Task, w int) {
 			defer s.wg.Done()
@@ -121,5 +119,4 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 	s.loopWg.Wait()
 	s.wg.Wait()
-	s.pool.close()
 }

@@ -67,7 +67,6 @@ type slotPool struct {
 	cond    *sync.Cond
 	jobs    int
 	workers int
-	closed  bool
 }
 
 func newSlotPool(jobs, workers int) *slotPool {
@@ -77,20 +76,15 @@ func newSlotPool(jobs, workers int) *slotPool {
 }
 
 // acquire claims one job slot and w worker tokens, blocking until granted.
-// It reports false if the pool closed (sweep canceled) while waiting.
 // w must not exceed the pool's total budget.
-func (p *slotPool) acquire(w int) bool {
+func (p *slotPool) acquire(w int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for !p.closed && (p.jobs < 1 || p.workers < w) {
+	for p.jobs < 1 || p.workers < w {
 		p.cond.Wait()
-	}
-	if p.closed {
-		return false
 	}
 	p.jobs--
 	p.workers -= w
-	return true
 }
 
 // release returns a cell's job slot and worker tokens.
@@ -98,14 +92,6 @@ func (p *slotPool) release(w int) {
 	p.mu.Lock()
 	p.jobs++
 	p.workers += w
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// close unblocks every waiter; subsequent acquires fail.
-func (p *slotPool) close() {
-	p.mu.Lock()
-	p.closed = true
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }

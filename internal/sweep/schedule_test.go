@@ -66,41 +66,22 @@ func TestWorkersFor(t *testing.T) {
 
 func TestSlotPoolAdmission(t *testing.T) {
 	p := newSlotPool(2, 4)
-	if !p.acquire(3) {
-		t.Fatal("first acquire refused")
-	}
-	if !p.acquire(1) {
-		t.Fatal("second acquire refused")
-	}
+	p.acquire(3)
+	p.acquire(1)
 	// Pool is now full on both axes; a third acquire must block until a
 	// release, and must observe the freed capacity.
-	done := make(chan bool, 1)
-	go func() { done <- p.acquire(2) }()
+	done := make(chan struct{})
+	go func() {
+		p.acquire(2)
+		close(done)
+	}()
 	select {
 	case <-done:
 		t.Fatal("acquire succeeded with no free slot")
 	default:
 	}
 	p.release(3)
-	if ok := <-done; !ok {
-		t.Fatal("acquire failed after release")
-	}
+	<-done
 	p.release(1)
 	p.release(2)
-}
-
-func TestSlotPoolClose(t *testing.T) {
-	p := newSlotPool(1, 1)
-	if !p.acquire(1) {
-		t.Fatal("acquire refused")
-	}
-	done := make(chan bool, 1)
-	go func() { done <- p.acquire(1) }()
-	p.close()
-	if ok := <-done; ok {
-		t.Fatal("acquire succeeded on a closed pool")
-	}
-	if p.acquire(1) {
-		t.Fatal("acquire after close succeeded")
-	}
 }

@@ -93,47 +93,14 @@ func NewGraph(spec string, adj [][]int32) (*Graph, error) {
 			}
 		}
 	}
-	if err := g.computeDistances(); err != nil {
-		return nil, err
+	// The routing algorithms need a finite minimal distance between every
+	// ordered pair.
+	dist, diam, err := AllPairs(g.nbr, n, ports)
+	if err != nil {
+		return nil, fmt.Errorf("topology: graph %s: not strongly connected: %w", spec, err)
 	}
+	g.dist, g.diam = dist, diam
 	return g, nil
-}
-
-// computeDistances fills the all-pairs BFS table and the diameter, failing
-// on any unreachable pair (the routing algorithms need a finite minimal
-// distance between every ordered pair).
-func (g *Graph) computeDistances() error {
-	g.dist = make([]int16, g.n*g.n)
-	queue := make([]int32, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		row := g.dist[s*g.n : (s+1)*g.n]
-		for i := range row {
-			row[i] = -1
-		}
-		row[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := int(queue[0])
-			queue = queue[1:]
-			for p := 0; p < g.ports; p++ {
-				v := g.nbr[u*g.ports+p]
-				if v == None || row[v] >= 0 {
-					continue
-				}
-				row[v] = row[u] + 1
-				queue = append(queue, v)
-			}
-		}
-		for v, d := range row {
-			if d < 0 {
-				return fmt.Errorf("topology: graph %s: not strongly connected: no path %d -> %d", g.spec, s, v)
-			}
-			if int(d) > g.diam {
-				g.diam = int(d)
-			}
-		}
-	}
-	return nil
 }
 
 // Spec returns the canonical generator spec of the instance, e.g.
